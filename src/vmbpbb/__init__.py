@@ -38,6 +38,7 @@ from .pipeline import (
     Resample,
     component_seed,
     decompose,
+    run_paired,
     run_pipeline,
 )
 from .series import (
@@ -107,6 +108,7 @@ __all__ = [
     "r2_against_truth",
     "reconstruct_component",
     "run_grid",
+    "run_paired",
     "run_pipeline",
     "run_scenario",
     "run_scenario_detail",

@@ -124,18 +124,68 @@ def phase_partition(n: int, p: int) -> PhasePartition:
     return PhasePartition(period=p, subsets=subsets)
 
 
+def _index_sampler(n: int, p: int):
+    """Phase layout of a length-n series at period p, and its resample index draw.
+
+    Returns (phases, counts, draw): draw(rng) gives one resample's source
+    indices, slot t drawing uniformly from the subset of phase t mod p.
+    """
+    phases = np.arange(n) % p
+    counts = np.bincount(phases, minlength=p)
+    # When p divides n every slot has the same bound; numpy draws that scalar
+    # bound bit for bit like the per-slot array, and faster.
+    high = int(counts[0]) if n % p == 0 else counts[phases]
+    return phases, counts, lambda rng: phases + p * rng.integers(0, high, size=n)
+
+
 def pbb_resample(series: TimeSeries, p: int, rng: np.random.Generator) -> TimeSeries:
     """Draw one periodic block bootstrap resample of the series at period p.
 
     Output slot t receives a uniform draw from the phase subset t mod p; all n
     draws are independent and with replacement.
     """
-    n = series.n
-    p = _validate_period(p, n)
-    phases = np.arange(n) % p
-    counts = np.bincount(phases, minlength=p)
-    offsets = rng.integers(0, counts[phases])
-    return TimeSeries(series.values[phases + p * offsets], series.start_index)
+    p = _validate_period(p, series.n)
+    _, _, draw = _index_sampler(series.n, p)
+    return TimeSeries(series.values[draw(rng)], series.start_index)
+
+
+def resample_indices(n: int, p: int, resamples: int, seed: SeedSpec):
+    """An iterator over the source indices of resamples b = 0..resamples-1 at period p.
+
+    Resample b draws from its own sub-stream seed.child(b), so rows are
+    reproducible individually; its indices equal those pbb_resample draws
+    with rng = seed.child(b).generator().
+    """
+    resamples = int(resamples)
+    if resamples < 1:
+        raise InsufficientResamplesError("need at least one resample")
+    _, _, draw = _index_sampler(n, _validate_period(p, n))
+    root = np.random.SeedSequence(seed.master_seed, spawn_key=seed.labels)
+    return (draw(np.random.Generator(np.random.PCG64(seq))) for seq in root.spawn(resamples))
+
+
+def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
+    """Bootstrap the periodic means of k equal-length series with shared draws.
+
+    stack is a (k, n) array. Resample b draws one index vector from
+    resample_indices(n, p, resamples, seed) and applies it to every row, so
+    entry [i, b] holds the p phase means of row i resampled by draw b, and
+    series resampled together take the same draws. Returns a
+    (k, resamples, p) array.
+    """
+    values = np.asarray(stack, dtype=float)
+    k, n = values.shape
+    draws = resample_indices(n, p, resamples, seed)
+    p, resamples = int(p), int(resamples)
+    phases, counts, _ = _index_sampler(n, p)
+    # Row i's phase s lands in bin i*p + s; bincount adds each bin's weights in
+    # index order, so every row sums exactly as a one-row bincount would.
+    bins = (phases + p * np.arange(k)[:, None]).ravel()
+    estimates = np.empty((k, resamples, p))
+    for b, index in enumerate(draws):
+        sums = np.bincount(bins, weights=values[:, index].ravel(), minlength=k * p)
+        estimates[:, b] = sums.reshape(k, p) / counts
+    return estimates
 
 
 def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: SeedSpec) -> BootstrapRun:
@@ -144,27 +194,11 @@ def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: S
     Resample b consumes its own sub-stream seed.child(b), so rows are
     reproducible individually and the run parallelizes without coordination.
     Row b is bit-identical to periodic_mean(pbb_resample(series, p, rng_b), p)
-    with rng_b = seed.child(b).generator(); the loop below inlines that
-    composition to skip per-resample object construction.
+    with rng_b = seed.child(b).generator(). This is the one-series case of
+    bootstrap_phase_means.
     """
-    resamples = int(resamples)
-    if resamples < 1:
-        raise InsufficientResamplesError("need at least one resample")
-    p = _validate_period(p, series.n)
-    n = series.n
-    values = series.values
-    phases = np.arange(n) % p
-    counts = np.bincount(phases, minlength=p)
-    high = counts[phases]
-    master = seed.master_seed
-    labels = seed.labels
-    estimates = np.empty((resamples, p))
-    for b in range(resamples):
-        seq = np.random.SeedSequence(master, spawn_key=labels + (b,))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        drawn = values[phases + p * rng.integers(0, high)]
-        estimates[b] = np.bincount(phases, weights=drawn, minlength=p) / counts
-    return BootstrapRun(period=p, resamples=resamples, estimates=estimates, seed=seed)
+    estimates = bootstrap_phase_means(series.values[None, :], p, resamples, seed)[0]
+    return BootstrapRun(period=int(p), resamples=int(resamples), estimates=estimates, seed=seed)
 
 
 def ci_band(samples, alpha: float = 0.05) -> CIBand:
@@ -180,7 +214,6 @@ def ci_band(samples, alpha: float = 0.05) -> CIBand:
         raise InsufficientResamplesError("quantile bands need at least 2 resamples")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    lower = np.quantile(arr, alpha / 2.0, axis=0, method="linear")
-    upper = np.quantile(arr, 1.0 - alpha / 2.0, axis=0, method="linear")
+    lower, upper = np.quantile(arr, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="linear")
     point = arr.mean(axis=0)
     return CIBand(lower=lower, point=point, upper=upper, alpha=alpha)

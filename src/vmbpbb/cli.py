@@ -32,8 +32,19 @@ from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
 from .simulation import GridCell, RepRecord, _aggregate_records, run_grid
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("VMBPBB_THREADS", "1"))
+def _parse_threads(value) -> int:
+    """Worker count from --threads, else $VMBPBB_THREADS, else 1; must be an integer >= 1."""
+    if value is None:
+        source, value = "VMBPBB_THREADS", os.environ.get("VMBPBB_THREADS", "1")
+    else:
+        source = "--threads"
+    try:
+        threads = int(value)
+    except ValueError:
+        raise ConfigError(f"bad {source} value {value!r}: expected an integer >= 1") from None
+    if threads < 1:
+        raise ConfigError(f"bad {source} value {value!r}: expected an integer >= 1")
+    return threads
 
 
 def _cli_errors(func):
@@ -311,7 +322,7 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
 @click.option("--scale", type=click.Choice(["desk", "paper"]), default="desk", show_default=True,
               help="Default resamples/reps when the config does not pin them.")
 @click.option("--seed", type=int, default=None, help="Overrides the config seed.")
-@click.option("--threads", default=_default_threads, help="Worker processes (default $VMBPBB_THREADS or 1).")
+@click.option("--threads", default=None, help="Worker processes (default $VMBPBB_THREADS or 1).")
 @click.option("--paper-faithful/--no-paper-faithful", default=None,
               help="Doubled window for the {10,25} pairs at noise ratios 2 and 5.")
 @_RESAMPLE_OPTION
@@ -319,6 +330,7 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
 @_cli_errors
 def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, output_dir):
     """Run the scenario grid and write table/coverage/per-repetition CSVs."""
+    threads = _parse_threads(threads)
     raw = _load_grid_config(config_path)
     default_b, default_reps = _SCALE_DEFAULTS[scale]
     resamples = int(raw.get("resamples", default_b))
@@ -344,7 +356,7 @@ def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, ou
         seed=SeedSpec(seed),
         narrow_factor=float(raw.get("narrow_factor", 1.0)),
         paper_faithful=paper_faithful,
-        threads=int(threads),
+        threads=threads,
         keep_records=True,
         resample=Resample(resample),
     )
@@ -364,7 +376,7 @@ def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, ou
             "narrow_factor": float(raw.get("narrow_factor", 1.0)),
             "paper_faithful": paper_faithful,
             "resample": resample,
-            "threads": int(threads),
+            "threads": threads,
         },
         master_seed=seed,
         input_paths=[config_path],

@@ -9,6 +9,7 @@ z^(m-1))^k and dividing by m^k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -146,12 +147,38 @@ def kz_coefficients(m: int, k: int) -> CoefficientTable:
     return CoefficientTable(weights=np.asarray(ints / float(m) ** k, dtype=float))
 
 
-def _apply_kernel(x: np.ndarray, weights: np.ndarray, kernel: np.ndarray, edge: EdgePolicy):
+@functools.lru_cache(maxsize=16)
+def _kzft_kernel(m: int, k: int, nu: float) -> np.ndarray:
+    """Kernel of the (m, k, nu) bandpass filter, kernel(u) = w(u) * exp(-i*2*pi*nu*u).
+
+    Cached, so the array is returned read-only.
+    """
+    table = kz_coefficients(m, k)
+    offsets = np.arange(-table.half_width, table.half_width + 1)
+    kernel = table.weights * np.exp(-2j * np.pi * nu * offsets)
+    kernel.setflags(write=False)
+    return kernel
+
+
+@functools.lru_cache(maxsize=16)
+def _tap_mass(m: int, k: int, n: int) -> np.ndarray:
+    """Per output point of a length-n series, the (m, k) weight mass inside the series.
+
+    Cached, so the array is returned read-only.
+    """
+    weights = kz_coefficients(m, k).weights
+    h = (weights.size - 1) // 2
+    mass = np.convolve(np.ones(n), weights, mode="full")[h : h + n]
+    mass.setflags(write=False)
+    return mass
+
+
+def _apply_kernel(x: np.ndarray, m: int, k: int, kernel: np.ndarray, edge: EdgePolicy):
     """Correlate x with kernel(u), u = -h..h; returns (output, start_shift).
 
-    weights is the real coefficient table used for edge renormalization; kernel
-    may be complex. Output t of the full correlation sits at np.convolve index
-    t + h.
+    kernel carries the (m, k) coefficient table, possibly shifted to a complex
+    center frequency; edge renormalization divides by the table's own mass.
+    Output t of the full correlation sits at np.convolve index t + h.
     """
     n = x.size
     h = (kernel.size - 1) // 2
@@ -162,14 +189,13 @@ def _apply_kernel(x: np.ndarray, weights: np.ndarray, kernel: np.ndarray, edge: 
                 f"series of length {n} too short for full windows of width {2 * h + 1}"
             )
         return full[2 * h : n], h
-    tap_mass = np.convolve(np.ones(n), weights, mode="full")[h : h + n]
-    return full[h : h + n] / tap_mass, 0
+    return full[h : h + n] / _tap_mass(m, k, n), 0
 
 
 def kz_apply(series: TimeSeries, m: int, k: int, edge: EdgePolicy = EdgePolicy.RENORMALIZE) -> TimeSeries:
     """Apply the low-pass KZ filter of window m and k iterations."""
     table = kz_coefficients(m, k)
-    out, shift = _apply_kernel(series.values, table.weights, table.weights, edge)
+    out, shift = _apply_kernel(series.values, m, k, table.weights, edge)
     return TimeSeries(out, series.start_index + shift)
 
 
@@ -180,10 +206,8 @@ def kzft_apply(series, spec: FilterSpec, edge: EdgePolicy = EdgePolicy.RENORMALI
     the response to pure complex exponentials). With nu = 0 the kernel is real
     and the output equals the KZ filter applied to the input.
     """
-    table = kz_coefficients(spec.m, spec.k)
-    offsets = np.arange(-table.half_width, table.half_width + 1)
-    kernel = table.weights * np.exp(-2j * np.pi * spec.nu * offsets)
-    out, shift = _apply_kernel(series.values, table.weights, kernel, edge)
+    kernel = _kzft_kernel(spec.m, spec.k, spec.nu)
+    out, shift = _apply_kernel(series.values, spec.m, spec.k, kernel, edge)
     return ComplexSeries(out, series.start_index + shift)
 
 

@@ -18,7 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .bootstrap import BootstrapRun, CIBand, SeedSpec, bootstrap_periodic_means, ci_band, pbb_resample
+from .bootstrap import BootstrapRun, CIBand, SeedSpec, bootstrap_phase_means, ci_band, resample_indices
+# Unused here; kept importable from this module because bench/spans.py wraps it by this name.
+from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
 from .filters import EdgePolicy, FilterSpec, kzft_apply, reconstruct_component, select_filter_specs
 from .series import TimeSeries, periodic_mean
@@ -146,7 +148,7 @@ def _check_grand_mean(series: TimeSeries) -> None:
             "summing per-period bootstraps counts that mean once per component "
             "(unfiltered PBB mode double-counts it)",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -161,25 +163,96 @@ def _series_cycle(periods, n: int) -> int:
     return cycle
 
 
-def _series_runs(series: TimeSeries, cfg: PipelineConfig, specs) -> dict:
-    """Per-period bootstrap runs whose rows all come from whole-series draws.
+def _mode_specs(mode: Mode, cfg: PipelineConfig) -> list:
+    """Each period's filter under a mode: the designed KZFT, or None (all-pass) for PBB."""
+    if mode is Mode.VMBPBB:
+        return select_filter_specs(cfg.periods, cfg.narrow_factor)
+    return [None] * len(cfg.periods)
 
-    Row b of every period's run holds the phase means of the mode's filter
-    (specs entry; None = all-pass) applied to one draw,
-    pbb_resample(series, L, rng_b), with L = lcm(periods) and
-    rng_b = cfg.seed.child(0, b).generator().
+
+def _component_estimates(comps: dict, cfg: PipelineConfig) -> dict:
+    """Per mode and period, the (B, p) phase means under Resample.COMPONENTS.
+
+    Each period's components of all modes are resampled as one stack on
+    sub-stream seed.child(p), so every mode takes the same draws.
+    """
+    estimates = {mode: {} for mode in comps}
+    for i, p in enumerate(cfg.periods):
+        stack = np.stack([comps[mode][i].values for mode in comps])
+        rows = bootstrap_phase_means(stack, p, cfg.resamples, component_seed(cfg.seed, p))
+        for mode, est in zip(comps, rows):
+            estimates[mode][p] = est
+    return estimates
+
+
+def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> dict:
+    """Per mode and period, the (B, p) phase means under Resample.SERIES.
+
+    Row b holds the phase means of the mode's filter (specs entry; None =
+    all-pass) applied to one draw, pbb_resample(series, L, rng_b), with
+    L = lcm(periods) and rng_b = cfg.seed.child(0, b).generator(). Each draw
+    is made once and filtered by every mode.
     """
     cycle = _series_cycle(cfg.periods, series.n)
-    stream = cfg.seed.child(_SERIES_STREAM)
-    estimates = {p: np.empty((cfg.resamples, p)) for p in cfg.periods}
-    for b in range(cfg.resamples):
-        draw = pbb_resample(series, cycle, stream.child(b).generator())
-        for p, comp in zip(cfg.periods, _components(draw, specs, cfg.edge)):
-            estimates[p][b] = periodic_mean(comp, p).means
-    return {
-        p: BootstrapRun(period=p, resamples=cfg.resamples, estimates=est, seed=stream)
-        for p, est in estimates.items()
-    }
+    estimates = {mode: {p: np.empty((cfg.resamples, p)) for p in cfg.periods} for mode in specs}
+    draws = resample_indices(series.n, cycle, cfg.resamples, cfg.seed.child(_SERIES_STREAM))
+    for b, index in enumerate(draws):
+        draw = TimeSeries(series.values[index], series.start_index)
+        for mode, mode_specs in specs.items():
+            for p, comp in zip(cfg.periods, _components(draw, mode_specs, cfg.edge)):
+                estimates[mode][p][b] = periodic_mean(comp, p).means
+    return estimates
+
+
+def _tiled_band(band: CIBand, index: np.ndarray) -> CIBand:
+    """The band's columns taken at index (its cyclic extension for index = t mod cycle)."""
+    return CIBand(lower=band.lower[index], point=band.point[index], upper=band.upper[index],
+                  alpha=band.alpha)
+
+
+def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
+    """Run the pipeline of every mode in modes on one series with shared draws."""
+    n = series.n
+    if max(cfg.periods) > n:
+        raise InvalidPeriodError(f"period {max(cfg.periods)} exceeds series length {n}")
+    _check_grand_mean(series)
+
+    specs = {mode: _mode_specs(mode, cfg) for mode in modes}
+    comps = {mode: _components(series, specs[mode], cfg.edge) for mode in modes}
+    if cfg.resample is Resample.SERIES:
+        estimates = _series_estimates(series, specs, cfg)
+        seeds = dict.fromkeys(cfg.periods, cfg.seed.child(_SERIES_STREAM))
+    else:
+        estimates = _component_estimates(comps, cfg)
+        seeds = {p: component_seed(cfg.seed, p) for p in cfg.periods}
+
+    # Every trajectory repeats with period lcm(periods), so the aggregate is
+    # computed on its first L distinct columns and tiled out to n.
+    cycle = min(math.lcm(*cfg.periods), n)
+    tile = np.arange(n) % cycle
+    results = {}
+    for mode in modes:
+        components = []
+        for p, spec, comp in zip(cfg.periods, specs[mode], comps[mode]):
+            run = BootstrapRun(period=p, resamples=cfg.resamples, estimates=estimates[mode][p],
+                               seed=seeds[p])
+            components.append(ComponentResult(
+                period=p, filter=spec, component_series=comp, run=run,
+                band=_tiled_band(ci_band(run.estimates, cfg.alpha), np.arange(n) % p),
+            ))
+        # Summing in ascending-period order keeps the aggregate bit-identical
+        # under any permutation of cfg.periods.
+        trajectories = np.zeros((cfg.resamples, cycle))
+        for p in sorted(cfg.periods):
+            trajectories += estimates[mode][p][:, np.arange(cycle) % p]
+        aggregate_band = _tiled_band(ci_band(trajectories, cfg.alpha), tile)
+        results[mode] = MpcResult(
+            components=tuple(components),
+            aggregate_point=TimeSeries(aggregate_band.point, series.start_index),
+            aggregate_band=aggregate_band,
+            mode=mode,
+        )
+    return results
 
 
 def run_pipeline(series: TimeSeries, cfg: PipelineConfig) -> MpcResult:
@@ -194,48 +267,15 @@ def run_pipeline(series: TimeSeries, cfg: PipelineConfig) -> MpcResult:
     per resample b, the aggregate trajectory sums the component phase means
     cyclically, and the aggregate band/point come from those B trajectories.
     """
-    n = series.n
-    if max(cfg.periods) > n:
-        raise InvalidPeriodError(f"period {max(cfg.periods)} exceeds series length {n}")
-    _check_grand_mean(series)
+    return _run_modes(series, cfg, (cfg.mode,))[cfg.mode]
 
-    if cfg.mode is Mode.VMBPBB:
-        specs = select_filter_specs(cfg.periods, cfg.narrow_factor)
-    else:
-        specs = [None] * len(cfg.periods)
-    comps = _components(series, specs, cfg.edge)
 
-    if cfg.resample is Resample.SERIES:
-        runs = _series_runs(series, cfg, specs)
-    else:
-        runs = {
-            p: bootstrap_periodic_means(comp, p, cfg.resamples, component_seed(cfg.seed, p))
-            for p, comp in zip(cfg.periods, comps)
-        }
+def run_paired(series: TimeSeries, cfg: PipelineConfig) -> dict:
+    """Run PBB and VMBPBB on one series in one pass; returns {Mode: MpcResult}.
 
-    components = []
-    for p, spec, comp in zip(cfg.periods, specs, comps):
-        run = runs[p]
-        phases = np.arange(n) % p
-        phase_band = ci_band(run.estimates, cfg.alpha)
-        band = CIBand(
-            lower=phase_band.lower[phases],
-            point=phase_band.point[phases],
-            upper=phase_band.upper[phases],
-            alpha=cfg.alpha,
-        )
-        components.append(ComponentResult(period=p, filter=spec, component_series=comp, run=run, band=band))
-
-    # Summing in ascending-period order keeps the aggregate bit-identical
-    # under any permutation of cfg.periods.
-    trajectories = np.zeros((cfg.resamples, n))
-    for p in sorted(runs):
-        trajectories += runs[p].estimates[:, np.arange(n) % p]
-    aggregate_band = ci_band(trajectories, cfg.alpha)
-    aggregate_point = TimeSeries(trajectories.mean(axis=0), series.start_index)
-    return MpcResult(
-        components=tuple(components),
-        aggregate_point=aggregate_point,
-        aggregate_band=aggregate_band,
-        mode=cfg.mode,
-    )
+    Both modes take the same draws: each index vector is drawn once and
+    applied to both modes' components (COMPONENTS) or filtered by both modes
+    (SERIES). Each result equals run_pipeline with cfg.mode set to its mode;
+    cfg.mode itself is not read.
+    """
+    return _run_modes(series, cfg, (Mode.PBB, Mode.VMBPBB))

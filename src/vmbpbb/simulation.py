@@ -17,7 +17,9 @@ import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
 from .errors import DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
-from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_pipeline
+from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_paired
+# Unused here; kept importable from this module because bench/spans.py wraps it by this name.
+from .pipeline import run_pipeline  # noqa: F401
 from .series import TimeSeries
 
 # Stream labels under each repetition's sub-seed.
@@ -188,18 +190,14 @@ def outside_fraction(band: CIBand, truth: TimeSeries) -> float:
 def _run_repetition(cfg: ScenarioConfig, rep: int) -> RepRecord:
     rep_seed = cfg.seed.child(rep)
     series, truth = generate_mpc(cfg, rep_seed.child(_NOISE_STREAM).generator())
-    boot_seed = rep_seed.child(_BOOT_STREAM)
-    results = {}
-    for mode in (Mode.PBB, Mode.VMBPBB):
-        pipe_cfg = PipelineConfig(
-            periods=(cfg.p1, cfg.p2),
-            resamples=cfg.resamples,
-            seed=boot_seed,
-            narrow_factor=cfg.narrow_factor,
-            mode=mode,
-            resample=cfg.resample,
-        )
-        results[mode] = run_pipeline(series, pipe_cfg)
+    pipe_cfg = PipelineConfig(
+        periods=(cfg.p1, cfg.p2),
+        resamples=cfg.resamples,
+        seed=rep_seed.child(_BOOT_STREAM),
+        narrow_factor=cfg.narrow_factor,
+        resample=cfg.resample,
+    )
+    results = run_paired(series, pipe_cfg)
     pbb, vm = results[Mode.PBB], results[Mode.VMBPBB]
     return RepRecord(
         rep=rep,

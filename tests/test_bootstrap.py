@@ -13,6 +13,7 @@ from vmbpbb import (
     pbb_resample,
     phase_partition,
 )
+from vmbpbb.bootstrap import bootstrap_phase_means
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
 
 
@@ -153,6 +154,17 @@ class TestBootstrapPeriodicMeans:
         small = bootstrap_periodic_means(series, 2, 3, SeedSpec(6))
         large = bootstrap_periodic_means(series, 2, 8, SeedSpec(6))
         np.testing.assert_array_equal(small.estimates, large.estimates[:3])
+
+    @pytest.mark.parametrize("n,p", [(60, 6), (61, 6), (7, 7)])
+    def test_stack_rows_equal_single_series_runs(self, n, p):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, n))
+        seed = SeedSpec(8, (2,))
+        rows = bootstrap_phase_means(stack, p, 12, seed)
+        assert rows.shape == (3, 12, p)
+        for values, est in zip(stack, rows):
+            single = bootstrap_periodic_means(TimeSeries(values), p, 12, seed)
+            np.testing.assert_array_equal(est, single.estimates)
 
     def test_needs_one_resample(self):
         with pytest.raises(InsufficientResamplesError):

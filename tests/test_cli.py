@@ -267,6 +267,24 @@ class TestSimulateAndReport:
             outputs[threads] = (out / "reps.csv").read_bytes()
         assert outputs["1"] == outputs["2"]
 
+    @pytest.mark.parametrize("args,env", [
+        ([], {"VMBPBB_THREADS": "abc"}),
+        (["--threads", "0"], {}),
+        (["--threads", "-3"], {}),
+    ], ids=["env-not-integer", "zero", "negative"])
+    def test_bad_thread_count_is_config_error(self, runner, tmp_path, args, env):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "periods": [10, 25], "snrs": [[1, 5]], "n": 100, "resamples": 4, "reps": 1, "seed": 3,
+        }))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["simulate", "--config", str(config), *args, "-o", str(out)], env=env)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_duplicate_periods_is_config_error(self, runner, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"periods": [10, 10], "snrs": [[1, 2]], "seed": 1}))

@@ -21,7 +21,7 @@ from vmbpbb.errors import (
     SeriesTooShortError,
     UndefinedCutoffError,
 )
-from vmbpbb.filters import _smallest_odd_above
+from vmbpbb.filters import _kzft_kernel, _smallest_odd_above, _tap_mass
 
 
 def convolution_oracle(m, k):
@@ -153,6 +153,32 @@ class TestKzftApply:
         series = TimeSeries(np.cos(2 * np.pi * nu2 * t))
         out = kzft_apply(series, FilterSpec(m=m, k=1, nu=nu1), EdgePolicy.TRUNCATE)
         assert np.abs(out.values).max() <= 1e-6
+
+    def test_cached_tables_equal_fresh_ones_and_are_read_only(self):
+        spec = FilterSpec(m=21, k=2, nu=0.1)
+        series = TimeSeries(np.random.default_rng(4).normal(size=300))
+        first = kzft_apply(series, spec)
+        _kzft_kernel.cache_clear()
+        _tap_mass.cache_clear()
+        fresh = kzft_apply(series, spec)
+        cached = kzft_apply(series, spec)
+        np.testing.assert_array_equal(first.values, fresh.values)
+        np.testing.assert_array_equal(cached.values, fresh.values)
+        assert _kzft_kernel.cache_info().hits >= 1 and _tap_mass.cache_info().hits >= 1
+        # The uncached formulas, written out.
+        table = kz_coefficients(spec.m, spec.k)
+        h = table.half_width
+        kernel = table.weights * np.exp(-2j * np.pi * spec.nu * np.arange(-h, h + 1))
+        mass = np.convolve(np.ones(series.n), table.weights, mode="full")[h : h + series.n]
+        cached_kernel = _kzft_kernel(spec.m, spec.k, spec.nu)
+        np.testing.assert_array_equal(cached_kernel, kernel)
+        np.testing.assert_array_equal(_tap_mass(spec.m, spec.k, series.n), mass)
+        full = np.convolve(series.values, kernel[::-1], mode="full")[h : h + series.n]
+        np.testing.assert_array_equal(cached.values, full / mass)
+        for arr in (cached_kernel, _tap_mass(spec.m, spec.k, series.n)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     @pytest.mark.parametrize("m,k", [(5, 1), (21, 2), (81, 1), (41, 3)])
     def test_measured_attenuation_matches_transfer(self, m, k):

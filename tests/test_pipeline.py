@@ -18,6 +18,7 @@ from vmbpbb import (
     pbb_resample,
     periodic_mean,
     reconstruct_component,
+    run_paired,
     run_pipeline,
     run_scenario,
     select_filter_specs,
@@ -193,6 +194,32 @@ def assert_same_result(a, b):
         np.testing.assert_array_equal(comp_a.run.estimates, comp_b.run.estimates)
         np.testing.assert_array_equal(comp_a.band.lower, comp_b.band.lower)
         np.testing.assert_array_equal(comp_a.band.upper, comp_b.band.upper)
+
+
+class TestRunPaired:
+    @pytest.mark.parametrize("periods,n,resample", [
+        ((50, 100), 1000, Resample.COMPONENTS),
+        ((7, 24), 150, Resample.COMPONENTS),  # lcm 168 > n: no repeated columns
+        ((24, 10), 500, Resample.SERIES),
+    ])
+    def test_each_mode_equals_its_single_mode_run(self, periods, n, resample):
+        rng = np.random.default_rng(17)
+        t = np.arange(n)
+        series = TimeSeries(sum(np.sin(2 * np.pi * t / p) for p in periods) + rng.normal(0, 2, n))
+        # The paired run does not read cfg.mode.
+        cfg = PipelineConfig(periods=periods, resamples=30, seed=SeedSpec(6), mode=Mode.PBB,
+                             resample=resample)
+        paired = run_paired(series, cfg)
+        assert set(paired) == {Mode.PBB, Mode.VMBPBB}
+        for mode, result in paired.items():
+            single = run_pipeline(series, PipelineConfig(periods=periods, resamples=30, seed=SeedSpec(6),
+                                                         mode=mode, resample=resample))
+            assert result.mode is mode
+            assert_same_result(result, single)
+            for comp_a, comp_b in zip(result.components, single.components):
+                assert comp_a.filter == comp_b.filter
+                np.testing.assert_array_equal(comp_a.component_series.values,
+                                              comp_b.component_series.values)
 
 
 class TestSeriesResample:

@@ -7,15 +7,16 @@ multi-period periodic mean. Ships the filters, the bootstrap, the pipelines,
 and a paired simulation study comparing against the unfiltered baseline.
 """
 
+# The one place the version is written; pyproject.toml and every manifest read it.
+__version__ = "0.1.0"
+
 from .bootstrap import (
     BootstrapRun,
     CIBand,
-    PhasePartition,
     SeedSpec,
     bootstrap_periodic_means,
     ci_band,
     pbb_resample,
-    phase_partition,
 )
 from .filters import (
     CoefficientTable,
@@ -24,7 +25,6 @@ from .filters import (
     FilterSpec,
     energy_transfer,
     half_power_cutoff,
-    kz_apply,
     kz_coefficients,
     kzft_apply,
     reconstruct_component,
@@ -41,14 +41,7 @@ from .pipeline import (
     run_paired,
     run_pipeline,
 )
-from .series import (
-    PeriodicMean,
-    Spectrum,
-    TimeSeries,
-    extend_periodic,
-    periodic_mean,
-    periodogram,
-)
+from .series import PeriodicMean, TimeSeries, periodic_mean
 from .simulation import (
     GridCell,
     RepRecord,
@@ -58,13 +51,9 @@ from .simulation import (
     ci_ratio,
     generate_mpc,
     outside_fraction,
-    r2_against_truth,
     run_grid,
-    run_scenario,
     run_scenario_detail,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BootstrapRun",
@@ -78,14 +67,12 @@ __all__ = [
     "Mode",
     "MpcResult",
     "PeriodicMean",
-    "PhasePartition",
     "PipelineConfig",
     "RepRecord",
     "Resample",
     "ScenarioConfig",
     "ScenarioMetrics",
     "SeedSpec",
-    "Spectrum",
     "TimeSeries",
     "TrueSignals",
     "bootstrap_periodic_means",
@@ -94,23 +81,17 @@ __all__ = [
     "component_seed",
     "decompose",
     "energy_transfer",
-    "extend_periodic",
     "generate_mpc",
     "half_power_cutoff",
-    "kz_apply",
     "kz_coefficients",
     "kzft_apply",
     "outside_fraction",
     "pbb_resample",
     "periodic_mean",
-    "periodogram",
-    "phase_partition",
-    "r2_against_truth",
     "reconstruct_component",
     "run_grid",
     "run_paired",
     "run_pipeline",
-    "run_scenario",
     "run_scenario_detail",
     "select_filter_specs",
 ]

@@ -50,20 +50,6 @@ class SeedSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class PhasePartition:
-    """The p exclusive and exhaustive index subsets of a length-n series."""
-
-    period: int
-    subsets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "period", int(self.period))
-        object.__setattr__(self, "subsets", tuple(_frozen_array(s, dtype=int) for s in self.subsets))
-        if len(self.subsets) != self.period:
-            raise ValueError("need exactly one subset per phase")
-
-
-@dataclass(frozen=True, eq=False)
 class BootstrapRun:
     """B resampled periodic means (rows) for one component at one period."""
 
@@ -112,16 +98,6 @@ class CIBand:
     @property
     def width(self) -> np.ndarray:
         return self.upper - self.lower
-
-
-def phase_partition(n: int, p: int) -> PhasePartition:
-    """Split indices 0..n-1 into the p congruence classes modulo p."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("series length must be positive")
-    p = _validate_period(p, n)
-    subsets = tuple(np.arange(s, n, p) for s in range(p))
-    return PhasePartition(period=p, subsets=subsets)
 
 
 def _index_sampler(n: int, p: int):

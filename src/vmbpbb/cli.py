@@ -7,19 +7,19 @@ stderr in the form ``error:<category>: <message>``.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
 import numpy as np
 
+from . import __version__
 from .bootstrap import SeedSpec
 from .csvio import (
-    TOOL_VERSION,
     fmt_float,
     manifest_for,
     read_series_csv,
@@ -29,7 +29,7 @@ from .csvio import (
 from .errors import ConfigError, CsvFormatError
 from .filters import EdgePolicy, FilterSpec, energy_transfer, kzft_apply, reconstruct_component, select_filter_specs
 from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
-from .simulation import GridCell, RepRecord, _aggregate_records, run_grid
+from .simulation import REPS_HEADER, read_rep_log, rep_rows, run_grid
 
 
 def _parse_threads(value) -> int:
@@ -63,13 +63,11 @@ def _cli_errors(func):
 
 
 def _parse_periods(text: str) -> tuple:
+    """The integers of a comma-separated --periods value; the library checks the period rules."""
     try:
-        periods = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --periods value {text!r}: {exc}") from exc
-    if not periods:
-        raise ConfigError("--periods must list at least one integer")
-    return periods
 
 
 def _parse_spec(text: str) -> FilterSpec:
@@ -93,10 +91,6 @@ def _parse_spec(text: str) -> FilterSpec:
         raise ConfigError(f"bad --spec value in {text!r}: {exc}") from exc
 
 
-def _parse_edge(name: str) -> EdgePolicy:
-    return EdgePolicy.TRUNCATE if name == "truncate" else EdgePolicy.RENORMALIZE
-
-
 # Both values give different statistical results, so every manifest records the choice.
 _RESAMPLE_OPTION = click.option(
     "--resample", type=click.Choice([r.value for r in Resample]), default=Resample.COMPONENTS.value,
@@ -111,7 +105,7 @@ def _snr_label(snr) -> str:
 
 
 @click.group()
-@click.version_option(version=TOOL_VERSION, prog_name="vmbpbb")
+@click.version_option(version=__version__, prog_name="vmbpbb")
 def main():
     """Bandpass-separated periodic block bootstrap for multi-period time series."""
 
@@ -121,7 +115,8 @@ def main():
 @click.option("--periods", "periods_text", default=None, help="Comma-separated periods, e.g. 50,100.")
 @click.option("--spec", "spec_texts", multiple=True, help="Explicit filter m=..,k=..[,nu=..]; repeatable.")
 @click.option("--narrow-factor", default=1.0, show_default=True, help="Window narrowing multiplier for --periods.")
-@click.option("--edge", type=click.Choice(["renormalize", "truncate"]), default="renormalize", show_default=True)
+@click.option("--edge", type=click.Choice([e.value for e in EdgePolicy]), default=EdgePolicy.RENORMALIZE.value,
+              show_default=True)
 @click.option("-o", "--output", "output_path", required=True, type=click.Path(dir_okay=False))
 @_cli_errors
 def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_path):
@@ -129,7 +124,7 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     if (periods_text is None) == (not spec_texts):
         raise ConfigError("give exactly one of --periods or --spec")
     series = read_series_csv(input_csv)
-    edge_policy = _parse_edge(edge)
+    edge_policy = EdgePolicy(edge)
     if periods_text is not None:
         periods = _parse_periods(periods_text)
         specs = select_filter_specs(periods, narrow_factor)
@@ -165,7 +160,7 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
 @main.command("run")
 @click.argument("input_csv", type=click.Path(dir_okay=False))
 @click.option("--periods", "periods_text", required=True, help="Comma-separated periods, e.g. 50,100.")
-@click.option("--mode", type=click.Choice(["vmbpbb", "pbb"]), default="vmbpbb", show_default=True)
+@click.option("--mode", type=click.Choice([m.value for m in Mode]), default=Mode.VMBPBB.value, show_default=True)
 @click.option("-B", "--resamples", default=200, show_default=True)
 @click.option("--seed", required=True, type=int, help="Master seed; same seed reproduces outputs byte for byte.")
 @click.option("--alpha", default=0.05, show_default=True)
@@ -228,10 +223,67 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
 
 
 _SCALE_DEFAULTS = {"desk": (200, 50), "paper": (1000, 1000)}
-_GRID_KEYS = {"periods", "snrs", "n", "resamples", "reps", "seed", "narrow_factor", "paper_faithful"}
 
 
-def _load_grid_config(path) -> dict:
+@dataclass(frozen=True)
+class _GridConfig:
+    """A checked grid config; periods and snrs keep the numbers the file gave."""
+
+    periods: tuple
+    snrs: tuple
+    seed: int
+    resamples: int
+    reps: int
+    n: int = 1000
+    narrow_factor: float = 1.0
+    paper_faithful: bool = True
+
+
+def _integer(key, value):
+    # bool is an int subclass, and JSON yields no other integer type.
+    if type(value) is not int:
+        raise ConfigError(f"grid config {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key, value):
+    if type(value) not in (int, float):
+        raise ConfigError(f"grid config {key!r} must be a number, got {value!r}")
+    return value
+
+
+def _list(key, value, item):
+    if not isinstance(value, list):
+        raise ConfigError(f"grid config {key!r} must be a list, got {value!r}")
+    return tuple(item(key, v) for v in value)
+
+
+def _snr(key, value):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"grid config {key!r} entries must be [signal, noise] pairs, got {value!r}")
+    return tuple(_number(key, v) for v in value)
+
+
+def _flag(key, value):
+    if type(value) is not bool:
+        raise ConfigError(f"grid config {key!r} must be true or false, got {value!r}")
+    return value
+
+
+_GRID_FIELDS = {
+    "periods": lambda key, value: _list(key, value, _integer),
+    "snrs": lambda key, value: _list(key, value, _snr),
+    "n": _integer,
+    "resamples": _integer,
+    "reps": _integer,
+    "seed": _integer,
+    "narrow_factor": lambda key, value: float(_number(key, value)),
+    "paper_faithful": _flag,
+}
+
+
+def _load_grid_config(path, scale: str, seed, paper_faithful) -> _GridConfig:
+    """Read and check a grid config; --seed and --paper-faithful override its values."""
     try:
         with Path(path).open() as fh:
             raw = json.load(fh)
@@ -239,28 +291,20 @@ def _load_grid_config(path) -> dict:
         raise ConfigError(f"cannot read grid config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("grid config must be a JSON object")
-    unknown = set(raw) - _GRID_KEYS
+    unknown = set(raw) - set(_GRID_FIELDS)
     if unknown:
         raise ConfigError(f"unknown grid config keys: {sorted(unknown)}")
     if "periods" not in raw or "snrs" not in raw:
         raise ConfigError("grid config needs 'periods' and 'snrs'")
-    return raw
-
-
-def _rep_rows(cells):
-    for cell in cells:
-        for rec in cell.records:
-            yield [
-                cell.snr[0], cell.snr[1], cell.p1, cell.p2, cell.narrow_factor,
-                rec.rep, rec.ci_ratio, rec.outside_pbb, rec.outside_vmbpbb,
-                rec.r2_pbb, rec.r2_vmbpbb,
-            ]
-
-
-_REPS_HEADER = [
-    "snr_signal", "snr_noise", "p1", "p2", "narrow_factor",
-    "rep", "ci_ratio", "outside_pbb", "outside_vmbpbb", "r2_pbb", "r2_vmbpbb",
-]
+    values = dict(zip(("resamples", "reps"), _SCALE_DEFAULTS[scale]))
+    values.update((key, _GRID_FIELDS[key](key, value)) for key, value in raw.items())
+    if seed is not None:
+        values["seed"] = seed
+    if paper_faithful is not None:
+        values["paper_faithful"] = paper_faithful
+    if "seed" not in values:
+        raise ConfigError("a seed is required (config 'seed' or --seed)")
+    return _GridConfig(**values)
 
 
 def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
@@ -312,7 +356,7 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
     )
     outputs = ["table1.csv", "table2.csv", "coverage.csv", "cells.csv"]
     if write_reps:
-        write_rows_csv(outdir / "reps.csv", _REPS_HEADER, _rep_rows(cells))
+        write_rows_csv(outdir / "reps.csv", REPS_HEADER, rep_rows(cells))
         outputs.append("reps.csv")
     return outputs
 
@@ -331,33 +375,23 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
 def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, output_dir):
     """Run the scenario grid and write table/coverage/per-repetition CSVs."""
     threads = _parse_threads(threads)
-    raw = _load_grid_config(config_path)
-    default_b, default_reps = _SCALE_DEFAULTS[scale]
-    resamples = int(raw.get("resamples", default_b))
-    reps = int(raw.get("reps", default_reps))
-    if seed is None:
-        if "seed" not in raw:
-            raise ConfigError("a seed is required (config 'seed' or --seed)")
-        seed = int(raw["seed"])
-    if paper_faithful is None:
-        paper_faithful = bool(raw.get("paper_faithful", True))
+    grid = _load_grid_config(config_path, scale, seed, paper_faithful)
     if scale == "paper":
         click.echo(
-            f"warning: paper scale runs {resamples} resamples x {reps} repetitions "
+            f"warning: paper scale runs {grid.resamples} resamples x {grid.reps} repetitions "
             "per cell and may take hours; proceeding",
             err=True,
         )
     cells = run_grid(
-        raw["periods"],
-        raw["snrs"],
-        n=int(raw.get("n", 1000)),
-        resamples=resamples,
-        reps=reps,
-        seed=SeedSpec(seed),
-        narrow_factor=float(raw.get("narrow_factor", 1.0)),
-        paper_faithful=paper_faithful,
+        grid.periods,
+        grid.snrs,
+        n=grid.n,
+        resamples=grid.resamples,
+        reps=grid.reps,
+        seed=SeedSpec(grid.seed),
+        narrow_factor=grid.narrow_factor,
+        paper_faithful=grid.paper_faithful,
         threads=threads,
-        keep_records=True,
         resample=Resample(resample),
     )
     outdir = Path(output_dir)
@@ -368,17 +402,17 @@ def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, ou
         {
             "config": str(config_path),
             "scale": scale,
-            "periods": list(raw["periods"]),
-            "snrs": [list(s) for s in raw["snrs"]],
-            "n": int(raw.get("n", 1000)),
-            "resamples": resamples,
-            "reps": reps,
-            "narrow_factor": float(raw.get("narrow_factor", 1.0)),
-            "paper_faithful": paper_faithful,
+            "periods": list(grid.periods),
+            "snrs": [list(s) for s in grid.snrs],
+            "n": grid.n,
+            "resamples": grid.resamples,
+            "reps": grid.reps,
+            "narrow_factor": grid.narrow_factor,
+            "paper_faithful": grid.paper_faithful,
             "resample": resample,
             "threads": threads,
         },
-        master_seed=seed,
+        master_seed=grid.seed,
         input_paths=[config_path],
     )
     manifest.outputs = outputs
@@ -413,54 +447,13 @@ def cmd_transfer(spec_texts, grid_text, output_path):
     write_manifest(Path(str(output_path) + ".manifest.json"), manifest)
 
 
-def _read_rep_log(path) -> list:
-    cells = {}
-    order = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _REPS_HEADER:
-            raise CsvFormatError(f"{Path(path).name} line 1: expected header {','.join(_REPS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_REPS_HEADER):
-                raise CsvFormatError(f"{Path(path).name} line {lineno}: expected {len(_REPS_HEADER)} columns")
-            try:
-                snr = (float(row[0]), float(row[1]))
-                p1, p2 = int(row[2]), int(row[3])
-                nf = float(row[4])
-                rec = RepRecord(
-                    rep=int(row[5]), ci_ratio=float(row[6]), outside_pbb=float(row[7]),
-                    outside_vmbpbb=float(row[8]), r2_pbb=float(row[9]), r2_vmbpbb=float(row[10]),
-                )
-            except ValueError as exc:
-                raise CsvFormatError(f"{Path(path).name} line {lineno}: {exc}") from exc
-            key = (snr, p1, p2, nf)
-            if key not in cells:
-                cells[key] = []
-                order.append(key)
-            cells[key].append(rec)
-    if not order:
-        raise CsvFormatError(f"{Path(path).name}: no data rows")
-    out = []
-    for key in order:
-        snr, p1, p2, nf = key
-        records = cells[key]
-        out.append(GridCell(
-            p1=p1, p2=p2, snr=snr, narrow_factor=nf, narrowed=nf > 1.0,
-            metrics=_aggregate_records(records), records=tuple(records),
-        ))
-    return out
-
-
 @main.command("report")
 @click.argument("reps_csv", type=click.Path(dir_okay=False))
 @click.option("-o", "--output", "output_dir", required=True, type=click.Path(file_okay=False))
 @_cli_errors
 def cmd_report(reps_csv, output_dir):
     """Re-aggregate a per-repetition log into the table CSVs."""
-    cells = _read_rep_log(reps_csv)
+    cells = read_rep_log(reps_csv)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = _write_grid_outputs(outdir, cells, write_reps=False)

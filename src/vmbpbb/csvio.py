@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .errors import CsvFormatError
 from .series import TimeSeries
 
 TOOL_NAME = "vmbpbb"
-TOOL_VERSION = "0.1.0"
 
 
 def fmt_float(v: float) -> str:
@@ -94,7 +94,7 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     tool: str = TOOL_NAME
-    version: str = TOOL_VERSION
+    version: str = __version__
     created_utc: str = ""
 
     def __post_init__(self):

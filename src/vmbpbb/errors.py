@@ -13,7 +13,7 @@ class InvalidFilterError(ValueError):
     """Filter arguments violate their constraints (m even, k < 1, nu out of range)."""
 
 
-class DegenerateSeparationError(ValueError):
+class DegenerateSeparationError(InvalidPeriodError):
     """Duplicate periods leave no frequency separation to design filters around."""
 
 

@@ -16,14 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateSeparationError,
-    InvalidFilterError,
-    InvalidPeriodError,
-    SeriesTooShortError,
-    UndefinedCutoffError,
-)
-from .series import TimeSeries, _frozen_array
+from .errors import InvalidFilterError, SeriesTooShortError, UndefinedCutoffError
+from .series import TimeSeries, _frozen_array, validate_periods
 
 
 class EdgePolicy(Enum):
@@ -192,13 +186,6 @@ def _apply_kernel(x: np.ndarray, m: int, k: int, kernel: np.ndarray, edge: EdgeP
     return full[h : h + n] / _tap_mass(m, k, n), 0
 
 
-def kz_apply(series: TimeSeries, m: int, k: int, edge: EdgePolicy = EdgePolicy.RENORMALIZE) -> TimeSeries:
-    """Apply the low-pass KZ filter of window m and k iterations."""
-    table = kz_coefficients(m, k)
-    out, shift = _apply_kernel(series.values, m, k, table.weights, edge)
-    return TimeSeries(out, series.start_index + shift)
-
-
 def kzft_apply(series, spec: FilterSpec, edge: EdgePolicy = EdgePolicy.RENORMALIZE) -> ComplexSeries:
     """Apply the bandpass filter: sum_u w(u) * exp(-i*2*pi*nu*u) * X(t+u).
 
@@ -270,13 +257,7 @@ def select_filter_specs(periods, narrow_factor: float = 1.0) -> list[FilterSpec]
     at or inside the midpoint between adjacent component frequencies. A single
     period uses d = nu, placing the band edge halfway to zero frequency.
     """
-    periods = [int(p) for p in periods]
-    if not periods:
-        raise InvalidPeriodError("at least one period is required")
-    if any(p < 2 for p in periods):
-        raise InvalidPeriodError("periods must be integers >= 2")
-    if len(set(periods)) != len(periods):
-        raise DegenerateSeparationError("duplicate periods cannot be separated")
+    periods = validate_periods(periods)
     if narrow_factor < 1.0:
         raise InvalidFilterError("narrow_factor must be >= 1")
     freqs = [1.0 / p for p in periods]

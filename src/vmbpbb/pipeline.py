@@ -22,8 +22,8 @@ from .bootstrap import BootstrapRun, CIBand, SeedSpec, bootstrap_phase_means, ci
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
-from .filters import EdgePolicy, FilterSpec, kzft_apply, reconstruct_component, select_filter_specs
-from .series import TimeSeries, periodic_mean
+from .filters import FilterSpec, kzft_apply, reconstruct_component, select_filter_specs
+from .series import TimeSeries, periodic_mean, validate_periods
 
 # Stream label of the whole-series draws under the pipeline seed. Periods are
 # >= 2, so no component sub-stream seed.child(p) can take it.
@@ -66,30 +66,18 @@ class PipelineConfig:
     resamples: int
     seed: SeedSpec
     narrow_factor: float = 1.0
-    edge: EdgePolicy = EdgePolicy.RENORMALIZE
     mode: Mode = Mode.VMBPBB
     alpha: float = 0.05
     resample: Resample = Resample.COMPONENTS
 
     def __post_init__(self):
-        periods = tuple(int(p) for p in self.periods)
-        if not periods:
-            raise InvalidPeriodError("at least one period is required")
-        if any(p < 2 for p in periods):
-            raise InvalidPeriodError("periods must be integers >= 2")
-        if len(set(periods)) != len(periods):
-            raise InvalidPeriodError("periods must be distinct")
-        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "periods", validate_periods(self.periods))
         object.__setattr__(self, "resamples", int(self.resamples))
         object.__setattr__(self, "resample", Resample(self.resample))
         if self.resamples < 2:
             raise InsufficientResamplesError("pipelines need at least 2 resamples")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        # TRUNCATE would shift and shorten components, breaking the phase
-        # alignment the aggregation step relies on.
-        if self.edge is not EdgePolicy.RENORMALIZE:
-            raise ValueError("pipelines require the full-length RENORMALIZE edge policy")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +110,18 @@ def component_seed(seed: SeedSpec, component_label: int) -> SeedSpec:
     return seed.child(int(component_label))
 
 
-def decompose(series: TimeSeries, periods, narrow_factor: float = 1.0,
-              edge: EdgePolicy = EdgePolicy.RENORMALIZE) -> list[TimeSeries]:
-    """Split a series into one bandpass-filtered component per period."""
-    return _components(series, select_filter_specs(periods, narrow_factor), edge)
+def decompose(series: TimeSeries, periods, narrow_factor: float = 1.0) -> list[TimeSeries]:
+    """Split a series into one bandpass-filtered component per period.
+
+    Components keep the series' length and start (RENORMALIZE edges), so
+    their phases stay aligned for the aggregation step.
+    """
+    return _components(series, select_filter_specs(periods, narrow_factor))
 
 
-def _components(series: TimeSeries, specs, edge: EdgePolicy) -> list[TimeSeries]:
+def _components(series: TimeSeries, specs) -> list[TimeSeries]:
     """One component per spec: the filtered series, or the series itself for None (all-pass)."""
-    return [series if spec is None else reconstruct_component(kzft_apply(series, spec, edge))
+    return [series if spec is None else reconstruct_component(kzft_apply(series, spec))
             for spec in specs]
 
 
@@ -199,7 +190,7 @@ def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> d
     for b, index in enumerate(draws):
         draw = TimeSeries(series.values[index], series.start_index)
         for mode, mode_specs in specs.items():
-            for p, comp in zip(cfg.periods, _components(draw, mode_specs, cfg.edge)):
+            for p, comp in zip(cfg.periods, _components(draw, mode_specs)):
                 estimates[mode][p][b] = periodic_mean(comp, p).means
     return estimates
 
@@ -218,7 +209,7 @@ def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
     _check_grand_mean(series)
 
     specs = {mode: _mode_specs(mode, cfg) for mode in modes}
-    comps = {mode: _components(series, specs[mode], cfg.edge) for mode in modes}
+    comps = {mode: _components(series, specs[mode]) for mode in modes}
     if cfg.resample is Resample.SERIES:
         estimates = _series_estimates(series, specs, cfg)
         seeds = dict.fromkeys(cfg.periods, cfg.seed.child(_SERIES_STREAM))

@@ -1,4 +1,4 @@
-"""Core time-series value types, periodic means, and the periodogram diagnostic."""
+"""Core time-series value types, the period rules, and periodic means."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPeriodError, SeriesTooShortError
+from .errors import DegenerateSeparationError, InvalidPeriodError
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -63,24 +63,16 @@ class PeriodicMean:
         object.__setattr__(self, "counts", counts)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Discrete power spectrum over frequencies in [0, 0.5] cycles/sample."""
-
-    frequencies: np.ndarray
-    power: np.ndarray
-
-    def __post_init__(self):
-        freqs = _frozen_array(self.frequencies)
-        power = _frozen_array(self.power)
-        if freqs.size != power.size:
-            raise ValueError("frequencies and power must have equal length")
-        if np.any(freqs < 0.0) or np.any(freqs > 0.5):
-            raise ValueError("frequencies must lie in [0, 0.5]")
-        if np.any(power < 0.0):
-            raise ValueError("power must be non-negative")
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "power", power)
+def validate_periods(periods) -> tuple:
+    """The periods of a multi-period model: at least one, integers >= 2, distinct."""
+    periods = tuple(int(p) for p in periods)
+    if not periods:
+        raise InvalidPeriodError("at least one period is required")
+    if any(p < 2 for p in periods):
+        raise InvalidPeriodError("periods must be integers >= 2")
+    if len(set(periods)) != len(periods):
+        raise DegenerateSeparationError("duplicate periods cannot be separated")
+    return periods
 
 
 def _validate_period(p, n: int) -> int:
@@ -101,26 +93,3 @@ def periodic_mean(series: TimeSeries, p: int) -> PeriodicMean:
     counts = np.bincount(phases, minlength=p)
     sums = np.bincount(phases, weights=series.values, minlength=p)
     return PeriodicMean(period=p, means=sums / counts, counts=counts)
-
-
-def extend_periodic(pm: PeriodicMean, n: int) -> TimeSeries:
-    """Tile per-phase means cyclically out to length n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("extension length must be positive")
-    return TimeSeries(pm.means[np.arange(n) % pm.period])
-
-
-def periodogram(series: TimeSeries) -> Spectrum:
-    """Discrete periodogram at the Fourier frequencies j/n, j = 0..floor(n/2).
-
-    Power is normalized as |DFT|^2 / n, so a unit-amplitude sinusoid at a
-    Fourier frequency produces a dominant bin of height approximately n/4.
-    """
-    n = series.n
-    if n < 2:
-        raise SeriesTooShortError("periodogram needs at least 2 samples")
-    coeffs = np.fft.rfft(series.values)
-    power = (coeffs.real**2 + coeffs.imag**2) / n
-    freqs = np.arange(coeffs.size) / n
-    return Spectrum(frequencies=freqs, power=power)

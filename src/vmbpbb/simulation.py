@@ -8,19 +8,21 @@ attributable to the bandpass step alone.
 
 from __future__ import annotations
 
+import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
-from .errors import DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
+from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
 from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_paired
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .pipeline import run_pipeline  # noqa: F401
-from .series import TimeSeries
+from .series import TimeSeries, validate_periods
 
 # Stream labels under each repetition's sub-seed.
 _NOISE_STREAM = 0
@@ -49,22 +51,17 @@ class ScenarioConfig:
     reps: int = 50
     seed: SeedSpec = SeedSpec(0)
     narrow_factor: float = 1.0
-    phases: tuple = (0.0, 0.0)
     resample: Resample = Resample.COMPONENTS
 
     def __post_init__(self):
-        object.__setattr__(self, "p1", int(self.p1))
-        object.__setattr__(self, "p2", int(self.p2))
+        p1, p2 = validate_periods((self.p1, self.p2))
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "resamples", int(self.resamples))
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "snr", (float(self.snr[0]), float(self.snr[1])))
-        object.__setattr__(self, "phases", (float(self.phases[0]), float(self.phases[1])))
         object.__setattr__(self, "resample", Resample(self.resample))
-        if self.p1 == self.p2:
-            raise InvalidPeriodError("scenario periods must differ")
-        if min(self.p1, self.p2) < 2:
-            raise InvalidPeriodError("scenario periods must be >= 2")
         if self.n < 2 * max(self.p1, self.p2):
             raise ValueError("series length must cover at least two cycles of the longest period")
         if self.resample is Resample.SERIES:
@@ -113,7 +110,7 @@ class RepRecord:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One scenario's place in the grid plus its aggregated metrics."""
+    """One scenario's place in the grid, its aggregated metrics and its per-rep records."""
 
     p1: int
     p2: int
@@ -121,7 +118,7 @@ class GridCell:
     narrow_factor: float
     narrowed: bool
     metrics: ScenarioMetrics
-    records: tuple = ()
+    records: tuple
 
 
 def generate_mpc(cfg: ScenarioConfig, rng: np.random.Generator):
@@ -131,8 +128,8 @@ def generate_mpc(cfg: ScenarioConfig, rng: np.random.Generator):
     sum(amplitude^2 / 2); a zero noise part yields the exact noiseless sum.
     """
     t = np.arange(cfg.n)
-    comp1 = TimeSeries(_AMPLITUDE * np.sin(2.0 * np.pi * t / cfg.p1 + cfg.phases[0]))
-    comp2 = TimeSeries(_AMPLITUDE * np.sin(2.0 * np.pi * t / cfg.p2 + cfg.phases[1]))
+    comp1 = TimeSeries(_AMPLITUDE * np.sin(2.0 * np.pi * t / cfg.p1))
+    comp2 = TimeSeries(_AMPLITUDE * np.sin(2.0 * np.pi * t / cfg.p2))
     signal_power = 2.0 * _AMPLITUDE**2 / 2.0
     signal, noise = cfg.snr
     sigma = math.sqrt((noise / signal) * signal_power)
@@ -165,18 +162,6 @@ def _squared_correlation_percent(a: np.ndarray, b: np.ndarray) -> float:
         raise UndefinedCorrelationError("correlation undefined for zero-variance input")
     cov = float(da @ db)
     return 100.0 * (cov * cov) / (va * vb)
-
-
-def r2_against_truth(point_estimates, truth: TimeSeries) -> float:
-    """Percent squared correlation of the elementwise median estimate with truth.
-
-    Collapses the repetition axis first (elementwise median across the given
-    series), then correlates the one collapsed series against the true signal.
-    """
-    stack = np.vstack([ts.values for ts in point_estimates])
-    if stack.shape[1] != truth.n:
-        raise ValueError("point estimates and truth must share one length")
-    return _squared_correlation_percent(np.median(stack, axis=0), truth.values)
 
 
 def outside_fraction(band: CIBand, truth: TimeSeries) -> float:
@@ -243,12 +228,6 @@ def run_scenario_detail(cfg: ScenarioConfig, threads: int = 1):
     return _aggregate_records(records), records
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
-    """Aggregate metrics for one scenario cell."""
-    metrics, _ = run_scenario_detail(cfg, threads)
-    return metrics
-
-
 def _scenario_label(p1: int, p2: int, snr) -> tuple:
     lo, hi = sorted((p1, p2))
     # Noise-to-signal ratio keyed in thousandths keeps labels integral.
@@ -264,9 +243,8 @@ def _auto_narrow(p1: int, p2: int, snr) -> bool:
 def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 50,
              seed: SeedSpec = SeedSpec(0), narrow_factor: float = 1.0,
              paper_faithful: bool = True, threads: int = 1,
-             keep_records: bool = False,
              resample: Resample = Resample.COMPONENTS) -> list[GridCell]:
-    """Run one scenario per unordered period pair per SNR.
+    """Run one scenario per unordered period pair per SNR; each cell keeps its records.
 
     resample is passed to every cell's ScenarioConfig (see pipeline.Resample).
 
@@ -275,11 +253,9 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     narrowed. Scenario seeds are keyed by (low period, high period, snr), so
     extending the grid never perturbs existing cells.
     """
-    periods = [int(p) for p in periods]
+    periods = validate_periods(periods)
     if len(periods) < 2:
         raise InvalidPeriodError("a grid needs at least two periods")
-    if len(set(periods)) != len(periods):
-        raise InvalidPeriodError("grid periods must be distinct")
     # Every cell's config is built (and so validated) before any cell runs.
     plan = []
     for snr in snrs:
@@ -298,6 +274,55 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
         metrics, records = run_scenario_detail(cfg, threads)
         cells.append(GridCell(
             p1=cfg.p1, p2=cfg.p2, snr=cfg.snr, narrow_factor=cfg.narrow_factor, narrowed=narrowed,
-            metrics=metrics, records=tuple(records) if keep_records else (),
+            metrics=metrics, records=tuple(records),
         ))
     return cells
+
+
+# Per-repetition log (reps.csv): one row per record, cells in grid order.
+REPS_HEADER = [
+    "snr_signal", "snr_noise", "p1", "p2", "narrow_factor",
+    "rep", "ci_ratio", "outside_pbb", "outside_vmbpbb", "r2_pbb", "r2_vmbpbb",
+]
+
+
+def rep_rows(cells):
+    """The reps.csv rows of the cells' records, one per repetition."""
+    for cell in cells:
+        for rec in cell.records:
+            yield [
+                cell.snr[0], cell.snr[1], cell.p1, cell.p2, cell.narrow_factor,
+                rec.rep, rec.ci_ratio, rec.outside_pbb, rec.outside_vmbpbb,
+                rec.r2_pbb, rec.r2_vmbpbb,
+            ]
+
+
+def read_rep_log(path) -> list[GridCell]:
+    """Rebuild the grid cells, metrics included, from a reps.csv log."""
+    name = Path(path).name
+    cells = {}
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != REPS_HEADER:
+            raise CsvFormatError(f"{name} line 1: expected header {','.join(REPS_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(REPS_HEADER):
+                raise CsvFormatError(f"{name} line {lineno}: expected {len(REPS_HEADER)} columns")
+            try:
+                key = ((float(row[0]), float(row[1])), int(row[2]), int(row[3]), float(row[4]))
+                rec = RepRecord(
+                    rep=int(row[5]), ci_ratio=float(row[6]), outside_pbb=float(row[7]),
+                    outside_vmbpbb=float(row[8]), r2_pbb=float(row[9]), r2_vmbpbb=float(row[10]),
+                )
+            except ValueError as exc:
+                raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
+            cells.setdefault(key, []).append(rec)
+    if not cells:
+        raise CsvFormatError(f"{name}: no data rows")
+    return [
+        GridCell(p1=p1, p2=p2, snr=snr, narrow_factor=nf, narrowed=nf > 1.0,
+                 metrics=_aggregate_records(records), records=tuple(records))
+        for (snr, p1, p2, nf), records in cells.items()
+    ]

@@ -26,7 +26,7 @@ from vmbpbb import (
     half_power_cutoff,
     kz_coefficients,
     kzft_apply,
-    run_scenario,
+    run_scenario_detail,
 )
 
 DESK = dict(n=1000, resamples=200, reps=50)
@@ -55,7 +55,7 @@ def convolution_oracle(m, k):
 def _desk_cell(**extra):
     cfg = ScenarioConfig(p1=50, p2=100, snr=(1, 10), seed=SEED, **DESK, **extra)
     start = time.perf_counter()
-    metrics = run_scenario(cfg)
+    metrics = run_scenario_detail(cfg)[0]
     return metrics, time.perf_counter() - start
 
 
@@ -197,7 +197,7 @@ def test_criterion_09_ratio_trend():
     ratios = {}
     for pair in ((10, 25), (100, 250)):
         cfg = ScenarioConfig(p1=pair[0], p2=pair[1], snr=(1, 10), seed=SEED, **DESK)
-        ratios[pair] = run_scenario(cfg).ci_ratio_median
+        ratios[pair] = run_scenario_detail(cfg)[0].ci_ratio_median
     elapsed = time.perf_counter() - start
     ok = ratios[(100, 250)] > ratios[(10, 25)] and elapsed < 300.0
     _report(9, "CI ratio grows with period size at 1:10", ok,
@@ -207,10 +207,10 @@ def test_criterion_09_ratio_trend():
 def test_criterion_10_order_invariance_and_determinism():
     start = time.perf_counter()
     base = dict(snr=(1, 10), n=1000, resamples=100, reps=20, seed=SEED)
-    first = run_scenario(ScenarioConfig(p1=50, p2=100, **base))
-    swapped = run_scenario(ScenarioConfig(p1=100, p2=50, **base))
-    rerun = run_scenario(ScenarioConfig(p1=50, p2=100, **base))
-    threaded = run_scenario(ScenarioConfig(p1=50, p2=100, **base), threads=2)
+    first = run_scenario_detail(ScenarioConfig(p1=50, p2=100, **base))[0]
+    swapped = run_scenario_detail(ScenarioConfig(p1=100, p2=50, **base))[0]
+    rerun = run_scenario_detail(ScenarioConfig(p1=50, p2=100, **base))[0]
+    threaded = run_scenario_detail(ScenarioConfig(p1=50, p2=100, **base), threads=2)[0]
     elapsed = time.perf_counter() - start
     ok = first == swapped == rerun == threaded and elapsed < 120.0
     _report(10, "bit-identical metrics under swap/rerun/threads", ok, f"{elapsed:.1f}s")
@@ -221,7 +221,7 @@ def test_criterion_11_narrowing_rule():
     diffs = {}
     for nf in (1.0, 2.0):
         cfg = ScenarioConfig(p1=10, p2=25, snr=(1, 5), seed=SEED, narrow_factor=nf, **DESK)
-        diffs[nf] = run_scenario(cfg).r2_diff
+        diffs[nf] = run_scenario_detail(cfg)[0].r2_diff
     elapsed = time.perf_counter() - start
     ok = diffs[2.0] > diffs[1.0]
     _report(11, "doubled window design improves (10,25)@1:5 correlation gap", ok,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,10 +12,34 @@ from vmbpbb import (
     bootstrap_periodic_means,
     ci_band,
     pbb_resample,
-    phase_partition,
 )
-from vmbpbb.bootstrap import bootstrap_phase_means
+from vmbpbb.bootstrap import bootstrap_phase_means, resample_indices
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
+from vmbpbb.series import _frozen_array, _validate_period
+
+
+@dataclass(frozen=True, eq=False)
+class PhasePartition:
+    """The p exclusive and exhaustive index subsets of a length-n series."""
+
+    period: int
+    subsets: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "subsets", tuple(_frozen_array(s, dtype=int) for s in self.subsets))
+        if len(self.subsets) != self.period:
+            raise ValueError("need exactly one subset per phase")
+
+
+def phase_partition(n: int, p: int) -> PhasePartition:
+    """Reference oracle: split indices 0..n-1 into the p congruence classes modulo p."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("series length must be positive")
+    p = _validate_period(p, n)
+    subsets = tuple(np.arange(s, n, p) for s in range(p))
+    return PhasePartition(period=p, subsets=subsets)
 
 
 def quantile_oracle(values, q):
@@ -92,6 +117,22 @@ class TestPbbResample:
         for _ in range(10_000):
             out = pbb_resample(series, 2, rng).values
             assert set(out[0::2]) <= even and set(out[1::2]) <= odd
+
+    # None of these periods divides n, so every draw takes the per-slot bound.
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (7, 17, 101) for p in (2, 5, 24) if p <= n])
+    def test_support_preserved_when_period_does_not_divide_n(self, n, p):
+        part = phase_partition(n, p)
+        # Each value is its own source index, so a resample reads back as indices.
+        series = TimeSeries(np.arange(n, dtype=float))
+        rng = SeedSpec(p, (n,)).generator()
+        drawn_by = {
+            "pbb_resample": [pbb_resample(series, p, rng).values.astype(int) for _ in range(200)],
+            "resample_indices": list(resample_indices(n, p, 200, SeedSpec(n, (p,)))),
+        }
+        for source, rows in drawn_by.items():
+            for s, subset in enumerate(part.subsets):
+                # Slots t = s, s+p, ... all draw from subset s, and over 200 rows reach all of it.
+                assert set(np.concatenate([row[s::p] for row in rows])) == set(subset), (source, s)
 
     def test_slot_frequencies_uniform(self):
         series = TimeSeries([10.0, 20.0, 30.0, 40.0])

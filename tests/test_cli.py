@@ -1,10 +1,12 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import vmbpbb
 from vmbpbb import PipelineConfig, Resample, SeedSpec, run_grid, run_pipeline
 from vmbpbb.cli import main
 from vmbpbb.csvio import read_series_csv, write_rows_csv
@@ -285,6 +287,29 @@ class TestSimulateAndReport:
         assert len(result.stderr.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("snrs", [[1]]),
+        ("snrs", 5),
+        ("n", None),
+        ("paper_faithful", "no"),
+        ("seed", 1.7),
+        ("n", 200.9),
+    ], ids=["snr-not-a-pair", "snrs-not-a-list", "n-null", "paper-faithful-string",
+            "seed-float", "n-float"])
+    def test_malformed_grid_config_is_config_error(self, runner, tmp_path, key, value):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "periods": [10, 25], "snrs": [[1, 5]], "n": 100, "resamples": 4, "reps": 1, "seed": 3,
+            key: value,
+        }))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["simulate", "--config", str(config), "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_duplicate_periods_is_config_error(self, runner, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"periods": [10, 10], "snrs": [[1, 2]], "seed": 1}))
@@ -303,7 +328,7 @@ class TestSimulateAndReport:
         assert result.exit_code == 0, result.output
         assert json.loads((out / "manifest.json").read_text())["config"]["resample"] == "series"
         (cell,) = run_grid([10, 25], [[1, 5]], n=200, resamples=10, reps=2, seed=SeedSpec(3),
-                           keep_records=True, resample=Resample.SERIES)
+                           resample=Resample.SERIES)
         _, rows = read_columns(out / "reps.csv")
         assert [float(r[8]) for r in rows] == [rec.outside_vmbpbb for rec in cell.records]
         assert [float(r[6]) for r in rows] == [rec.ci_ratio for rec in cell.records]
@@ -386,3 +411,21 @@ class TestTransferCommand:
         for row in rows:
             lam, energy = float(row[3]), float(row[4])
             assert energy == energy_transfer(lam, 7, 2, 0.1)
+
+
+def test_version_is_the_same_everywhere(runner, tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert "version" in tomllib.load(fh)["project"]["dynamic"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools flags [tool.setuptools] as beta
+        packaged = pyprojecttoml.read_configuration(pyproject)["project"]["version"]
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    out = tmp_path / "curve.csv"
+    assert runner.invoke(main, ["transfer", "--spec", "m=3,k=1", "-o", str(out)]).exit_code == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert result.output == f"vmbpbb, version {vmbpbb.__version__}\n"
+    assert manifest["version"] == packaged == vmbpbb.__version__

@@ -8,7 +8,6 @@ from vmbpbb import (
     TimeSeries,
     energy_transfer,
     half_power_cutoff,
-    kz_apply,
     kz_coefficients,
     kzft_apply,
     reconstruct_component,
@@ -34,6 +33,11 @@ def convolution_oracle(m, k):
                 out[i + j] += c
         coeffs = out
     return coeffs
+
+
+def kz(series, m, k, edge=EdgePolicy.RENORMALIZE):
+    """The low-pass KZ filter: the bandpass filter centered at nu = 0."""
+    return kzft_apply(series, FilterSpec(m, k, 0.0), edge)
 
 
 def iterated_kz_oracle(values, m, k):
@@ -86,48 +90,50 @@ class TestCoefficients:
 
 
 class TestKzApply:
+    """The low-pass KZ filter, applied as kzft_apply at nu = 0."""
+
     def test_constant_preserved_everywhere(self):
         series = TimeSeries(np.full(40, 3.25))
         for m, k in [(3, 1), (5, 2), (9, 3)]:
-            out = kz_apply(series, m, k, EdgePolicy.RENORMALIZE)
+            out = kz(series, m, k, EdgePolicy.RENORMALIZE)
             assert out.n == 40
-            np.testing.assert_allclose(out.values, 3.25, rtol=1e-13)
+            np.testing.assert_allclose(out.values.real, 3.25, rtol=1e-13)
 
     def test_period_m_sine_vanishes(self):
         t = np.arange(200)
-        out = kz_apply(TimeSeries(np.sin(2 * np.pi * t / 25)), 25, 1, EdgePolicy.TRUNCATE)
-        assert np.abs(out.values).max() < 1e-10
+        out = kz(TimeSeries(np.sin(2 * np.pi * t / 25)), 25, 1, EdgePolicy.TRUNCATE)
+        assert np.abs(out.values.real).max() < 1e-10
 
     def test_direct_equals_iterated_oracle(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=120)
         for m, k in [(3, 2), (5, 3), (7, 2)]:
-            out = kz_apply(TimeSeries(values), m, k, EdgePolicy.TRUNCATE)
-            np.testing.assert_allclose(out.values, iterated_kz_oracle(values, m, k), atol=1e-10)
+            out = kz(TimeSeries(values), m, k, EdgePolicy.TRUNCATE)
+            np.testing.assert_allclose(out.values.real, iterated_kz_oracle(values, m, k), atol=1e-10)
 
     def test_nested_single_pass_equals_two_pass(self):
         rng = np.random.default_rng(3)
         series = TimeSeries(rng.normal(size=60))
-        once = kz_apply(kz_apply(series, 3, 1, EdgePolicy.TRUNCATE), 3, 1, EdgePolicy.TRUNCATE)
-        both = kz_apply(series, 3, 2, EdgePolicy.TRUNCATE)
-        np.testing.assert_allclose(once.values, both.values, atol=1e-12)
+        once = kz(kz(series, 3, 1, EdgePolicy.TRUNCATE), 3, 1, EdgePolicy.TRUNCATE)
+        both = kz(series, 3, 2, EdgePolicy.TRUNCATE)
+        np.testing.assert_allclose(once.values.real, both.values.real, atol=1e-12)
         assert once.start_index == both.start_index == 2
 
     def test_truncate_geometry(self):
-        out = kz_apply(TimeSeries(np.arange(20.0), start_index=5), 5, 2, EdgePolicy.TRUNCATE)
+        out = kz(TimeSeries(np.arange(20.0), start_index=5), 5, 2, EdgePolicy.TRUNCATE)
         assert out.n == 20 - 2 * 4
         assert out.start_index == 5 + 4
 
     def test_truncate_too_short(self):
         with pytest.raises(SeriesTooShortError):
-            kz_apply(TimeSeries(np.arange(8.0)), 5, 2, EdgePolicy.TRUNCATE)
+            kz(TimeSeries(np.arange(8.0)), 5, 2, EdgePolicy.TRUNCATE)
 
     def test_policies_agree_on_interior(self):
         rng = np.random.default_rng(7)
         series = TimeSeries(rng.normal(size=80))
-        renorm = kz_apply(series, 7, 2, EdgePolicy.RENORMALIZE)
-        trunc = kz_apply(series, 7, 2, EdgePolicy.TRUNCATE)
-        np.testing.assert_allclose(renorm.values[6:-6], trunc.values, atol=1e-12)
+        renorm = kz(series, 7, 2, EdgePolicy.RENORMALIZE)
+        trunc = kz(series, 7, 2, EdgePolicy.TRUNCATE)
+        np.testing.assert_allclose(renorm.values.real[6:-6], trunc.values.real, atol=1e-12)
 
 
 class TestKzftApply:
@@ -136,7 +142,7 @@ class TestKzftApply:
         series = TimeSeries(rng.normal(size=50))
         cs = kzft_apply(series, FilterSpec(m=5, k=2, nu=0.0))
         assert np.abs(cs.values.imag).max() < 1e-12
-        np.testing.assert_allclose(cs.values.real, kz_apply(series, 5, 2).values, atol=1e-12)
+        np.testing.assert_allclose(cs.values.real[4:-4], iterated_kz_oracle(series.values, 5, 2), atol=1e-12)
 
     def test_complex_exponential_at_center_passes(self):
         spec = FilterSpec(m=21, k=2, nu=0.1)
@@ -199,7 +205,7 @@ class TestReconstruct:
         rng = np.random.default_rng(2)
         series = TimeSeries(rng.normal(size=64))
         rebuilt = reconstruct_component(kzft_apply(series, FilterSpec(m=5, k=1, nu=0.0)))
-        np.testing.assert_allclose(rebuilt.values, 2.0 * kz_apply(series, 5, 1).values, atol=1e-14)
+        np.testing.assert_allclose(rebuilt.values, 2.0 * kz(series, 5, 1).values.real, atol=1e-14)
 
     def test_cosine_reconstruction_amplitude(self):
         nu, m = 0.05, 41

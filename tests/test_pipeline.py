@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vmbpbb import (
-    EdgePolicy,
     Mode,
     PipelineConfig,
     Resample,
@@ -20,7 +19,7 @@ from vmbpbb import (
     reconstruct_component,
     run_paired,
     run_pipeline,
-    run_scenario,
+    run_scenario_detail,
     select_filter_specs,
 )
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
@@ -43,10 +42,6 @@ class TestPipelineConfig:
             PipelineConfig(periods=(1,), resamples=8, seed=SeedSpec(0))
         with pytest.raises(InvalidPeriodError):
             PipelineConfig(periods=(), resamples=8, seed=SeedSpec(0))
-
-    def test_rejects_truncate(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0), edge=EdgePolicy.TRUNCATE)
 
     def test_rejects_unknown_resample(self):
         with pytest.raises(ValueError):
@@ -277,9 +272,9 @@ class TestSeriesResample:
                              seed=SeedSpec(7), resample=Resample.SERIES)
         swapped = ScenarioConfig(p1=25, p2=10, snr=(1, 10), n=200, resamples=20, reps=4,
                                  seed=SeedSpec(7), resample=Resample.SERIES)
-        serial = run_scenario(cfg)
-        assert run_scenario(cfg, threads=2) == serial
-        assert run_scenario(swapped) == serial
+        serial = run_scenario_detail(cfg)[0]
+        assert run_scenario_detail(cfg, threads=2)[0] == serial
+        assert run_scenario_detail(swapped)[0] == serial
 
     def test_unset_resample_is_components(self):
         assert PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0)).resample is Resample.COMPONENTS

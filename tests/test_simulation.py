@@ -10,12 +10,11 @@ from vmbpbb import (
     ci_ratio,
     generate_mpc,
     outside_fraction,
-    r2_against_truth,
     run_grid,
-    run_scenario,
     run_scenario_detail,
 )
 from vmbpbb.errors import DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
+from vmbpbb.simulation import _squared_correlation_percent
 
 
 def small_cfg(**overrides):
@@ -86,19 +85,20 @@ class TestCiRatio:
 
 
 class TestR2AgainstTruth:
+    """The per-repetition r2 of a point estimate against the true signal."""
+
     def test_exact_truth(self):
-        truth = TimeSeries(np.sin(np.linspace(0, 6, 50)))
-        assert r2_against_truth([truth, truth, truth], truth) == pytest.approx(100.0)
+        truth = np.sin(np.linspace(0, 6, 50))
+        assert _squared_correlation_percent(truth, truth) == pytest.approx(100.0)
 
     def test_affine_invariance(self):
-        truth = TimeSeries(np.sin(np.linspace(0, 6, 50)))
-        scaled = TimeSeries(3.0 * truth.values + 2.0)
-        assert r2_against_truth([scaled], truth) == pytest.approx(100.0)
+        truth = np.sin(np.linspace(0, 6, 50))
+        assert _squared_correlation_percent(3.0 * truth + 2.0, truth) == pytest.approx(100.0)
 
     def test_zero_variance(self):
-        truth = TimeSeries(np.sin(np.linspace(0, 6, 50)))
+        truth = np.sin(np.linspace(0, 6, 50))
         with pytest.raises(UndefinedCorrelationError):
-            r2_against_truth([TimeSeries(np.ones(50))], truth)
+            _squared_correlation_percent(np.ones(50), truth)
 
 
 class TestOutsideFraction:
@@ -121,16 +121,16 @@ class TestOutsideFraction:
 class TestRunScenario:
     def test_deterministic(self):
         cfg = small_cfg()
-        assert run_scenario(cfg) == run_scenario(cfg)
+        assert run_scenario_detail(cfg)[0] == run_scenario_detail(cfg)[0]
 
     def test_swap_periods_identical(self):
-        a = run_scenario(small_cfg(p1=10, p2=25))
-        b = run_scenario(small_cfg(p1=25, p2=10))
+        a = run_scenario_detail(small_cfg(p1=10, p2=25))[0]
+        b = run_scenario_detail(small_cfg(p1=25, p2=10))[0]
         assert a == b
 
     def test_thread_count_invariance(self):
         cfg = small_cfg(reps=6)
-        assert run_scenario(cfg, threads=1) == run_scenario(cfg, threads=2)
+        assert run_scenario_detail(cfg, threads=1)[0] == run_scenario_detail(cfg, threads=2)[0]
 
     def test_noiseless_single_rep_tracks_truth(self):
         cfg = ScenarioConfig(p1=50, p2=100, snr=(1, 0), n=1000, resamples=20, reps=1, seed=SeedSpec(1))

@@ -11,7 +11,6 @@ and a paired simulation study comparing against the unfiltered baseline.
 __version__ = "0.1.0"
 
 from .bootstrap import (
-    BootstrapRun,
     CIBand,
     SeedSpec,
     bootstrap_periodic_means,
@@ -19,7 +18,6 @@ from .bootstrap import (
     pbb_resample,
 )
 from .filters import (
-    CoefficientTable,
     ComplexSeries,
     EdgePolicy,
     FilterSpec,
@@ -36,12 +34,11 @@ from .pipeline import (
     MpcResult,
     PipelineConfig,
     Resample,
-    component_seed,
     decompose,
     run_paired,
     run_pipeline,
 )
-from .series import PeriodicMean, TimeSeries, periodic_mean
+from .series import TimeSeries, periodic_mean
 from .simulation import (
     GridCell,
     RepRecord,
@@ -56,9 +53,7 @@ from .simulation import (
 )
 
 __all__ = [
-    "BootstrapRun",
     "CIBand",
-    "CoefficientTable",
     "ComplexSeries",
     "ComponentResult",
     "EdgePolicy",
@@ -66,7 +61,6 @@ __all__ = [
     "GridCell",
     "Mode",
     "MpcResult",
-    "PeriodicMean",
     "PipelineConfig",
     "RepRecord",
     "Resample",
@@ -78,7 +72,6 @@ __all__ = [
     "bootstrap_periodic_means",
     "ci_band",
     "ci_ratio",
-    "component_seed",
     "decompose",
     "energy_transfer",
     "generate_mpc",

@@ -50,24 +50,6 @@ class SeedSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class BootstrapRun:
-    """B resampled periodic means (rows) for one component at one period."""
-
-    period: int
-    resamples: int
-    estimates: np.ndarray
-    seed: SeedSpec
-
-    def __post_init__(self):
-        est = _frozen_array(self.estimates)
-        if est.shape != (self.resamples, self.period):
-            raise ValueError("estimates must be a resamples x period matrix")
-        if not np.all(np.isfinite(est)):
-            raise ValueError("bootstrap estimates must be finite")
-        object.__setattr__(self, "estimates", est)
-
-
-@dataclass(frozen=True, eq=False)
 class CIBand:
     """Pointwise lower/point/upper band from bootstrap quantiles."""
 
@@ -164,17 +146,19 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     return estimates
 
 
-def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: SeedSpec) -> BootstrapRun:
+def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
     """Bootstrap the periodic mean: B resamples, one row of phase means each.
 
-    Resample b consumes its own sub-stream seed.child(b), so rows are
-    reproducible individually and the run parallelizes without coordination.
-    Row b is bit-identical to periodic_mean(pbb_resample(series, p, rng_b), p)
-    with rng_b = seed.child(b).generator(). This is the one-series case of
+    Returns a read-only (resamples, p) array. Resample b consumes its own
+    sub-stream seed.child(b), so rows are reproducible individually and the
+    run parallelizes without coordination. Row b is bit-identical to
+    periodic_mean(pbb_resample(series, p, rng_b), p) with
+    rng_b = seed.child(b).generator(). This is the one-series case of
     bootstrap_phase_means.
     """
     estimates = bootstrap_phase_means(series.values[None, :], p, resamples, seed)[0]
-    return BootstrapRun(period=int(p), resamples=int(resamples), estimates=estimates, seed=seed)
+    estimates.setflags(write=False)
+    return estimates
 
 
 def ci_band(samples, alpha: float = 0.05) -> CIBand:

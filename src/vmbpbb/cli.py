@@ -192,18 +192,10 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
             for i, t in enumerate(times)
         ]
 
-    outputs = []
-    for comp in result.components:
-        name = f"component_p{comp.period}.csv"
-        write_rows_csv(outdir / name, ["t", "lower", "point", "upper"], band_rows(comp.band))
-        outputs.append(name)
-    agg_rows = [
-        [t, float(result.aggregate_band.lower[i]), float(result.aggregate_point.values[i]),
-         float(result.aggregate_band.upper[i])]
-        for i, t in enumerate(times)
-    ]
-    write_rows_csv(outdir / "aggregate.csv", ["t", "lower", "point", "upper"], agg_rows)
-    outputs.append("aggregate.csv")
+    bands = [(f"component_p{c.period}.csv", c.band) for c in result.components]
+    bands.append(("aggregate.csv", result.aggregate_band))
+    for name, band in bands:
+        write_rows_csv(outdir / name, ["t", "lower", "point", "upper"], band_rows(band))
     manifest = manifest_for(
         "run",
         {
@@ -218,7 +210,7 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
         master_seed=seed,
         input_paths=[input_csv],
     )
-    manifest.outputs = outputs
+    manifest.outputs = [name for name, _ in bands]
     write_manifest(outdir / "manifest.json", manifest)
 
 
@@ -328,7 +320,7 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
 
     header = ["snr", "period"] + [str(p) for p in periods]
     write_rows_csv(outdir / "table1.csv", header, matrix_rows(lambda c: c.metrics.ci_ratio_median))
-    # Table 2 cells that ran with the doubled window design carry a '*' suffix.
+    # Table 2 cells that ran with a narrowed window design carry a '*' suffix.
     write_rows_csv(
         outdir / "table2.csv",
         header,

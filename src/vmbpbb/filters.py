@@ -3,7 +3,7 @@
 The KZ filter of window m (odd) and k iterations is the k-fold iteration of a
 centered length-m moving average. Its bandpass extension shifts the window to
 a center frequency nu by attaching the complex factor exp(-i*2*pi*nu*u) to the
-tap at offset u. Coefficient tables come from expanding (1 + z + ... +
+tap at offset u. Coefficient weights come from expanding (1 + z + ... +
 z^(m-1))^k and dividing by m^k.
 """
 
@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidFilterError, SeriesTooShortError, UndefinedCutoffError
-from .series import TimeSeries, _frozen_array, validate_periods
+from .series import TimeSeries, validate_periods
 
 
 class EdgePolicy(Enum):
@@ -59,29 +59,6 @@ class FilterSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class CoefficientTable:
-    """Symmetric positive weights of a KZ filter, indexed u = -h..+h, summing to 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen_array(self.weights)
-        if w.size % 2 != 1:
-            raise ValueError("coefficient tables have odd length")
-        if np.any(w <= 0.0):
-            raise ValueError("coefficient weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("coefficient weights must sum to 1")
-        if not np.array_equal(w, w[::-1]):
-            raise ValueError("coefficient weights must be symmetric")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def half_width(self) -> int:
-        return (self.weights.size - 1) // 2
-
-
-@dataclass(frozen=True, eq=False)
 class ComplexSeries:
     """Complex-valued samples at unit spacing, the output of a bandpass filter."""
 
@@ -108,6 +85,11 @@ def _validate_filter_args(m: int, k: int) -> None:
         raise InvalidFilterError(f"window length m={m} must be an odd positive integer")
     if k < 1:
         raise InvalidFilterError(f"iteration count k={k} must be a positive integer")
+    # The coefficients are divided by m**k as a float (kz_coefficients).
+    try:
+        float(m) ** k
+    except OverflowError:
+        raise InvalidFilterError(f"m**k = {m}**{k} exceeds the float range") from None
 
 
 def _integer_coefficients(m: int, k: int) -> np.ndarray:
@@ -130,15 +112,17 @@ def _integer_coefficients(m: int, k: int) -> np.ndarray:
     return np.array(coeffs, dtype=object)
 
 
-def kz_coefficients(m: int, k: int) -> CoefficientTable:
-    """Coefficient table of the KZ filter: (1 + z + ... + z^(m-1))^k / m^k.
+def kz_coefficients(m: int, k: int) -> np.ndarray:
+    """Weights of the KZ filter, (1 + z + ... + z^(m-1))^k / m^k, at offsets u = -h..+h.
 
     Computed by k-1 exact integer self-convolutions of the length-m all-ones
-    window, divided by m^k only at the end.
+    window, divided by m^k only at the end. The read-only result has
+    k*(m-1)+1 positive, symmetric entries summing to 1.
     """
     _validate_filter_args(m, k)
-    ints = _integer_coefficients(m, k)
-    return CoefficientTable(weights=np.asarray(ints / float(m) ** k, dtype=float))
+    weights = np.asarray(_integer_coefficients(m, k) / float(m) ** k, dtype=float)
+    weights.setflags(write=False)
+    return weights
 
 
 @functools.lru_cache(maxsize=16)
@@ -147,9 +131,9 @@ def _kzft_kernel(m: int, k: int, nu: float) -> np.ndarray:
 
     Cached, so the array is returned read-only.
     """
-    table = kz_coefficients(m, k)
-    offsets = np.arange(-table.half_width, table.half_width + 1)
-    kernel = table.weights * np.exp(-2j * np.pi * nu * offsets)
+    weights = kz_coefficients(m, k)
+    h = (weights.size - 1) // 2
+    kernel = weights * np.exp(-2j * np.pi * nu * np.arange(-h, h + 1))
     kernel.setflags(write=False)
     return kernel
 
@@ -160,7 +144,7 @@ def _tap_mass(m: int, k: int, n: int) -> np.ndarray:
 
     Cached, so the array is returned read-only.
     """
-    weights = kz_coefficients(m, k).weights
+    weights = kz_coefficients(m, k)
     h = (weights.size - 1) // 2
     mass = np.convolve(np.ones(n), weights, mode="full")[h : h + n]
     mass.setflags(write=False)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bootstrap import BootstrapRun, CIBand, SeedSpec, bootstrap_phase_means, ci_band, resample_indices
+from .bootstrap import CIBand, SeedSpec, bootstrap_phase_means, ci_band, resample_indices
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
@@ -52,6 +52,14 @@ class Resample(Enum):
     SERIES = "series"
 
 
+def validate_resamples(resamples) -> int:
+    """The resample count of a pipeline: an integer >= 2, as quantile bands need."""
+    resamples = int(resamples)
+    if resamples < 2:
+        raise InsufficientResamplesError("pipelines need at least 2 resamples")
+    return resamples
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a pipeline run depends on besides the input series.
@@ -72,42 +80,33 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "periods", validate_periods(self.periods))
-        object.__setattr__(self, "resamples", int(self.resamples))
+        object.__setattr__(self, "resamples", validate_resamples(self.resamples))
         object.__setattr__(self, "resample", Resample(self.resample))
-        if self.resamples < 2:
-            raise InsufficientResamplesError("pipelines need at least 2 resamples")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True, eq=False)
 class ComponentResult:
-    """One period's component: its filter (None = all-pass), series, bootstrap, band."""
+    """One period's component: its filter (None = all-pass), series, bootstrap, band.
+
+    estimates is the read-only (resamples, period) matrix of bootstrap phase means.
+    """
 
     period: int
     filter: FilterSpec | None
     component_series: TimeSeries
-    run: BootstrapRun
+    estimates: np.ndarray
     band: CIBand
 
 
 @dataclass(frozen=True, eq=False)
 class MpcResult:
-    """Per-component results plus the aggregate point estimate and band."""
+    """Per-component results plus the aggregate band, whose point is the aggregate estimate."""
 
     components: tuple
-    aggregate_point: TimeSeries
     aggregate_band: CIBand
     mode: Mode
-
-
-def component_seed(seed: SeedSpec, component_label: int) -> SeedSpec:
-    """Sub-stream for one component, keyed by its period value.
-
-    Keying by period (not list position) makes results invariant to the order
-    periods are listed in.
-    """
-    return seed.child(int(component_label))
 
 
 def decompose(series: TimeSeries, periods, narrow_factor: float = 1.0) -> list[TimeSeries]:
@@ -126,13 +125,8 @@ def _components(series: TimeSeries, specs) -> list[TimeSeries]:
 
 
 def _check_grand_mean(series: TimeSeries) -> None:
-    if series.n < 2:
-        return
-    std = float(np.std(series.values, ddof=1))
-    if std == 0.0:
-        se = 0.0
-    else:
-        se = std / math.sqrt(series.n)
+    # Callers have checked n >= max(periods) >= 2, so the ddof=1 std is defined.
+    se = float(np.std(series.values, ddof=1)) / math.sqrt(series.n)
     if abs(float(series.values.mean())) > 3.0 * se:
         warnings.warn(
             "input series has a grand mean more than 3 standard errors from zero; "
@@ -165,12 +159,13 @@ def _component_estimates(comps: dict, cfg: PipelineConfig) -> dict:
     """Per mode and period, the (B, p) phase means under Resample.COMPONENTS.
 
     Each period's components of all modes are resampled as one stack on
-    sub-stream seed.child(p), so every mode takes the same draws.
+    sub-stream seed.child(p), so every mode takes the same draws. Keying by
+    period (not list position) keeps results invariant to the period order.
     """
     estimates = {mode: {} for mode in comps}
     for i, p in enumerate(cfg.periods):
         stack = np.stack([comps[mode][i].values for mode in comps])
-        rows = bootstrap_phase_means(stack, p, cfg.resamples, component_seed(cfg.seed, p))
+        rows = bootstrap_phase_means(stack, p, cfg.resamples, cfg.seed.child(p))
         for mode, est in zip(comps, rows):
             estimates[mode][p] = est
     return estimates
@@ -191,7 +186,7 @@ def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> d
         draw = TimeSeries(series.values[index], series.start_index)
         for mode, mode_specs in specs.items():
             for p, comp in zip(cfg.periods, _components(draw, mode_specs)):
-                estimates[mode][p][b] = periodic_mean(comp, p).means
+                estimates[mode][p][b] = periodic_mean(comp, p)
     return estimates
 
 
@@ -212,10 +207,8 @@ def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
     comps = {mode: _components(series, specs[mode]) for mode in modes}
     if cfg.resample is Resample.SERIES:
         estimates = _series_estimates(series, specs, cfg)
-        seeds = dict.fromkeys(cfg.periods, cfg.seed.child(_SERIES_STREAM))
     else:
         estimates = _component_estimates(comps, cfg)
-        seeds = {p: component_seed(cfg.seed, p) for p in cfg.periods}
 
     # Every trajectory repeats with period lcm(periods), so the aggregate is
     # computed on its first L distinct columns and tiled out to n.
@@ -225,22 +218,20 @@ def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
     for mode in modes:
         components = []
         for p, spec, comp in zip(cfg.periods, specs[mode], comps[mode]):
-            run = BootstrapRun(period=p, resamples=cfg.resamples, estimates=estimates[mode][p],
-                               seed=seeds[p])
+            est = estimates[mode][p]
+            est.setflags(write=False)
             components.append(ComponentResult(
-                period=p, filter=spec, component_series=comp, run=run,
-                band=_tiled_band(ci_band(run.estimates, cfg.alpha), np.arange(n) % p),
+                period=p, filter=spec, component_series=comp, estimates=est,
+                band=_tiled_band(ci_band(est, cfg.alpha), np.arange(n) % p),
             ))
         # Summing in ascending-period order keeps the aggregate bit-identical
         # under any permutation of cfg.periods.
         trajectories = np.zeros((cfg.resamples, cycle))
         for p in sorted(cfg.periods):
             trajectories += estimates[mode][p][:, np.arange(cycle) % p]
-        aggregate_band = _tiled_band(ci_band(trajectories, cfg.alpha), tile)
         results[mode] = MpcResult(
             components=tuple(components),
-            aggregate_point=TimeSeries(aggregate_band.point, series.start_index),
-            aggregate_band=aggregate_band,
+            aggregate_band=_tiled_band(ci_band(trajectories, cfg.alpha), tile),
             mode=mode,
         )
     return results
@@ -256,7 +247,8 @@ def run_pipeline(series: TimeSeries, cfg: PipelineConfig) -> MpcResult:
     component; this needs 2 * lcm(periods) <= n. Either way, the
     per-component band is the cyclic extension of the per-phase quantile band;
     per resample b, the aggregate trajectory sums the component phase means
-    cyclically, and the aggregate band/point come from those B trajectories.
+    cyclically, and the aggregate band, point included, comes from those B
+    trajectories.
     """
     return _run_modes(series, cfg, (cfg.mode,))[cfg.mode]
 

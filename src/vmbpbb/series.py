@@ -37,32 +37,6 @@ class TimeSeries:
         return self.values.size
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicMean:
-    """Per-phase means of a series folded at an integer period.
-
-    means[s] averages every sample whose index is congruent to s modulo the
-    period; counts[s] records how many samples entered that average.
-    """
-
-    period: int
-    means: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "period", int(self.period))
-        means = _frozen_array(self.means)
-        counts = _frozen_array(self.counts, dtype=int)
-        if means.size != self.period or counts.size != self.period:
-            raise ValueError("means/counts must have exactly one entry per phase")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("phase means must be finite")
-        if np.any(counts < 1):
-            raise ValueError("every phase needs at least one sample")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "counts", counts)
-
-
 def validate_periods(periods) -> tuple:
     """The periods of a multi-period model: at least one, integers >= 2, distinct."""
     periods = tuple(int(p) for p in periods)
@@ -82,14 +56,16 @@ def _validate_period(p, n: int) -> int:
     return p
 
 
-def periodic_mean(series: TimeSeries, p: int) -> PeriodicMean:
+def periodic_mean(series: TimeSeries, p: int) -> np.ndarray:
     """Average the series at each phase of an integer period p.
 
-    The series length does not need to be a multiple of p; trailing phases
-    simply average one fewer sample.
+    Entry s of the read-only length-p result averages every sample whose
+    index is congruent to s modulo p. The series length does not need to be a
+    multiple of p; trailing phases simply average one fewer sample.
     """
     p = _validate_period(p, series.n)
     phases = np.arange(series.n) % p
     counts = np.bincount(phases, minlength=p)
-    sums = np.bincount(phases, weights=series.values, minlength=p)
-    return PeriodicMean(period=p, means=sums / counts, counts=counts)
+    means = np.bincount(phases, weights=series.values, minlength=p) / counts
+    means.setflags(write=False)
+    return means

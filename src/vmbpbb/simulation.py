@@ -19,7 +19,7 @@ import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
 from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
-from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_paired
+from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_paired, validate_resamples
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .pipeline import run_pipeline  # noqa: F401
 from .series import TimeSeries, validate_periods
@@ -58,7 +58,7 @@ class ScenarioConfig:
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "resamples", int(self.resamples))
+        object.__setattr__(self, "resamples", validate_resamples(self.resamples))
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "snr", (float(self.snr[0]), float(self.snr[1])))
         object.__setattr__(self, "resample", Resample(self.resample))
@@ -116,9 +116,13 @@ class GridCell:
     p2: int
     snr: tuple
     narrow_factor: float
-    narrowed: bool
     metrics: ScenarioMetrics
     records: tuple
+
+    @property
+    def narrowed(self) -> bool:
+        """Whether the cell ran with a narrowed window design (narrow_factor > 1)."""
+        return self.narrow_factor > 1.0
 
 
 def generate_mpc(cfg: ScenarioConfig, rng: np.random.Generator):
@@ -189,8 +193,8 @@ def _run_repetition(cfg: ScenarioConfig, rep: int) -> RepRecord:
         ci_ratio=ci_ratio(pbb.aggregate_band, vm.aggregate_band),
         outside_pbb=outside_fraction(pbb.aggregate_band, truth.mpc),
         outside_vmbpbb=outside_fraction(vm.aggregate_band, truth.mpc),
-        r2_pbb=_squared_correlation_percent(pbb.aggregate_point.values, truth.mpc.values),
-        r2_vmbpbb=_squared_correlation_percent(vm.aggregate_point.values, truth.mpc.values),
+        r2_pbb=_squared_correlation_percent(pbb.aggregate_band.point, truth.mpc.values),
+        r2_vmbpbb=_squared_correlation_percent(vm.aggregate_band.point, truth.mpc.values),
     )
 
 
@@ -249,31 +253,32 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     resample is passed to every cell's ScenarioConfig (see pipeline.Resample).
 
     With paper_faithful set, the {10, 25} pairs at noise ratios 2 and 5 use a
-    doubled window design (narrow_factor = 2); those cells are flagged as
-    narrowed. Scenario seeds are keyed by (low period, high period, snr), so
-    extending the grid never perturbs existing cells.
+    doubled window design (narrow_factor = 2). A cell counts as narrowed when
+    its narrow_factor exceeds 1, whichever way it got there. Scenario seeds
+    are keyed by (low period, high period, snr), so extending the grid never
+    perturbs existing cells.
     """
     periods = validate_periods(periods)
     if len(periods) < 2:
         raise InvalidPeriodError("a grid needs at least two periods")
+    if not snrs:
+        raise ValueError("a grid needs at least one snr")
     # Every cell's config is built (and so validated) before any cell runs.
     plan = []
     for snr in snrs:
         snr = (float(snr[0]), float(snr[1]))
         for p1, p2 in combinations(sorted(periods), 2):
-            narrowed = paper_faithful and _auto_narrow(p1, p2, snr)
-            nf = 2.0 if narrowed else narrow_factor
-            cfg = ScenarioConfig(
+            nf = 2.0 if paper_faithful and _auto_narrow(p1, p2, snr) else narrow_factor
+            plan.append(ScenarioConfig(
                 p1=p1, p2=p2, snr=snr, n=n, resamples=resamples, reps=reps,
                 seed=seed.child(*_scenario_label(p1, p2, snr)), narrow_factor=nf,
                 resample=resample,
-            )
-            plan.append((cfg, narrowed))
+            ))
     cells = []
-    for cfg, narrowed in plan:
+    for cfg in plan:
         metrics, records = run_scenario_detail(cfg, threads)
         cells.append(GridCell(
-            p1=cfg.p1, p2=cfg.p2, snr=cfg.snr, narrow_factor=cfg.narrow_factor, narrowed=narrowed,
+            p1=cfg.p1, p2=cfg.p2, snr=cfg.snr, narrow_factor=cfg.narrow_factor,
             metrics=metrics, records=tuple(records),
         ))
     return cells
@@ -322,7 +327,7 @@ def read_rep_log(path) -> list[GridCell]:
     if not cells:
         raise CsvFormatError(f"{name}: no data rows")
     return [
-        GridCell(p1=p1, p2=p2, snr=snr, narrow_factor=nf, narrowed=nf > 1.0,
+        GridCell(p1=p1, p2=p2, snr=snr, narrow_factor=nf,
                  metrics=_aggregate_records(records), records=tuple(records))
         for (snr, p1, p2, nf), records in cells.items()
     ]

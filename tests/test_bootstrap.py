@@ -147,17 +147,17 @@ class TestPbbResample:
 class TestBootstrapPeriodicMeans:
     def test_constant(self):
         run = bootstrap_periodic_means(TimeSeries([4.0] * 8), 2, 16, SeedSpec(0))
-        np.testing.assert_array_equal(run.estimates, np.full((16, 2), 4.0))
+        np.testing.assert_array_equal(run, np.full((16, 2), 4.0))
 
     def test_singleton_phases(self):
         series = TimeSeries([1.0, 2.0, 3.0])
         run = bootstrap_periodic_means(series, 3, 10, SeedSpec(0))
-        np.testing.assert_array_equal(run.estimates, np.tile(series.values, (10, 1)))
+        np.testing.assert_array_equal(run, np.tile(series.values, (10, 1)))
 
     def test_matches_exhaustive_enumeration(self):
         # phase 0 of [1,2,3,4] at p=2 draws pairs from {1,3}: means 1,2,2,3.
         run = bootstrap_periodic_means(TimeSeries([1.0, 2.0, 3.0, 4.0]), 2, 20_000, SeedSpec(99))
-        values, counts = np.unique(run.estimates[:, 0], return_counts=True)
+        values, counts = np.unique(run[:, 0], return_counts=True)
         np.testing.assert_array_equal(values, [1.0, 2.0, 3.0])
         freq = counts / counts.sum()
         np.testing.assert_allclose(freq, [0.25, 0.5, 0.25], atol=0.02)
@@ -167,15 +167,15 @@ class TestBootstrapPeriodicMeans:
         series = TimeSeries(rng.normal(size=12))
         run = bootstrap_periodic_means(series, 3, 100_000, SeedSpec(5))
         sample_means = np.array([series.values[s::3].mean() for s in range(3)])
-        boot_mean = run.estimates.mean(axis=0)
-        stderr = run.estimates.std(axis=0, ddof=1) / np.sqrt(run.resamples)
+        boot_mean = run.mean(axis=0)
+        stderr = run.std(axis=0, ddof=1) / np.sqrt(run.shape[0])
         assert np.all(np.abs(boot_mean - sample_means) <= 3 * stderr)
 
     def test_deterministic(self):
         series = TimeSeries(np.arange(10.0))
         a = bootstrap_periodic_means(series, 4, 25, SeedSpec(77, (1, 2)))
         b = bootstrap_periodic_means(series, 4, 25, SeedSpec(77, (1, 2)))
-        np.testing.assert_array_equal(a.estimates, b.estimates)
+        np.testing.assert_array_equal(a, b)
 
     def test_rows_equal_op_composition_exactly(self):
         # dual route: the inlined loop must reproduce the composed ops bit for bit
@@ -186,15 +186,15 @@ class TestBootstrapPeriodicMeans:
         from vmbpbb import periodic_mean
 
         for b in range(30):
-            row = periodic_mean(pbb_resample(series, 5, seed.child(b).generator()), 5).means
-            np.testing.assert_array_equal(run.estimates[b], row)
+            row = periodic_mean(pbb_resample(series, 5, seed.child(b).generator()), 5)
+            np.testing.assert_array_equal(run[b], row)
 
     def test_resample_rows_independent_of_batch(self):
         # row b only depends on seed.child(b), not on how many rows run
         series = TimeSeries(np.arange(10.0))
         small = bootstrap_periodic_means(series, 2, 3, SeedSpec(6))
         large = bootstrap_periodic_means(series, 2, 8, SeedSpec(6))
-        np.testing.assert_array_equal(small.estimates, large.estimates[:3])
+        np.testing.assert_array_equal(small, large[:3])
 
     @pytest.mark.parametrize("n,p", [(60, 6), (61, 6), (7, 7)])
     def test_stack_rows_equal_single_series_runs(self, n, p):
@@ -205,7 +205,7 @@ class TestBootstrapPeriodicMeans:
         assert rows.shape == (3, 12, p)
         for values, est in zip(stack, rows):
             single = bootstrap_periodic_means(TimeSeries(values), p, 12, seed)
-            np.testing.assert_array_equal(est, single.estimates)
+            np.testing.assert_array_equal(est, single)
 
     def test_needs_one_resample(self):
         with pytest.raises(InsufficientResamplesError):

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import vmbpbb
-from vmbpbb import PipelineConfig, Resample, SeedSpec, run_grid, run_pipeline
+from vmbpbb import PipelineConfig, Resample, SeedSpec, run_grid, run_pipeline, simulation
 from vmbpbb.cli import main
 from vmbpbb.csvio import read_series_csv, write_rows_csv
 from vmbpbb.errors import CsvFormatError
@@ -110,6 +110,18 @@ class TestFilterCommand:
         )
         assert result.exit_code == 2
         assert "error:config:" in result.output
+
+    def test_spec_beyond_float_range_is_config_error(self, runner, tmp_path):
+        # 3**700 overflows a float, so the weights 1/m**k cannot be formed.
+        src = tmp_path / "input.csv"
+        two_sine_csv(src, n=300)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["filter", str(src), "--spec", "m=3,k=700", "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -253,6 +265,23 @@ class TestSimulateAndReport:
         for name in ("table1.csv", "table2.csv", "coverage.csv", "cells.csv"):
             assert (rep_out / name).read_bytes() == (out / name).read_bytes()
 
+    def test_report_round_trips_tables_with_configured_narrowing(self, runner, tmp_path):
+        # narrow_factor 2 narrows every cell, not only the paper-faithful (10, 25) one.
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "periods": [10, 25, 50], "snrs": [[1, 2]], "n": 200,
+            "resamples": 6, "reps": 2, "seed": 5, "narrow_factor": 2.0,
+        }))
+        out, rep_out = tmp_path / "sim", tmp_path / "reported"
+        result = runner.invoke(main, ["simulate", "--config", str(config), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["report", str(out / "reps.csv"), "-o", str(rep_out)])
+        assert result.exit_code == 0, result.output
+        for name in ("table1.csv", "table2.csv", "coverage.csv", "cells.csv"):
+            assert (rep_out / name).read_bytes() == (out / name).read_bytes()
+        _, rows = read_columns(out / "cells.csv")
+        assert [r[5] for r in rows] == ["1", "1", "1"]
+
     def test_thread_count_does_not_change_outputs(self, runner, tmp_path):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({
@@ -294,8 +323,9 @@ class TestSimulateAndReport:
         ("paper_faithful", "no"),
         ("seed", 1.7),
         ("n", 200.9),
+        ("snrs", []),
     ], ids=["snr-not-a-pair", "snrs-not-a-list", "n-null", "paper-faithful-string",
-            "seed-float", "n-float"])
+            "seed-float", "n-float", "snrs-empty"])
     def test_malformed_grid_config_is_config_error(self, runner, tmp_path, key, value):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({
@@ -306,6 +336,23 @@ class TestSimulateAndReport:
         result = runner.invoke(main, ["simulate", "--config", str(config), "-o", str(out)])
         assert result.exit_code == 2
         assert result.stdout == ""
+        assert result.stderr.startswith("error:config:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_single_resample_fails_before_the_pool_starts(self, runner, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the process pool must not start")
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "periods": [10, 25], "snrs": [[1, 5]], "n": 100, "resamples": 1, "reps": 2, "seed": 3,
+        }))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["simulate", "--config", str(config), "--threads", "2",
+                                      "-o", str(out)])
+        assert result.exit_code == 2
         assert result.stderr.startswith("error:config:")
         assert len(result.stderr.splitlines()) == 1
         assert not out.exists()

@@ -20,7 +20,7 @@ from vmbpbb.errors import (
     SeriesTooShortError,
     UndefinedCutoffError,
 )
-from vmbpbb.filters import _kzft_kernel, _smallest_odd_above, _tap_mass
+from vmbpbb.filters import _integer_coefficients, _kzft_kernel, _smallest_odd_above, _tap_mass
 
 
 def convolution_oracle(m, k):
@@ -51,39 +51,50 @@ def iterated_kz_oracle(values, m, k):
 class TestCoefficients:
     def test_identity_filter(self):
         for k in (1, 2, 5):
-            np.testing.assert_array_equal(kz_coefficients(1, k).weights, [1.0])
+            np.testing.assert_array_equal(kz_coefficients(1, k), [1.0])
 
     def test_plain_moving_average(self):
-        np.testing.assert_array_equal(kz_coefficients(3, 1).weights, np.array([1, 1, 1]) / 3.0)
+        np.testing.assert_array_equal(kz_coefficients(3, 1), np.array([1, 1, 1]) / 3.0)
 
     def test_m3_k2(self):
-        np.testing.assert_array_equal(kz_coefficients(3, 2).weights, np.array([1, 2, 3, 2, 1]) / 9.0)
+        np.testing.assert_array_equal(kz_coefficients(3, 2), np.array([1, 2, 3, 2, 1]) / 9.0)
 
     def test_m5_k3_matches_oracle_exactly(self):
         oracle = np.array(convolution_oracle(5, 3)) / 125.0
-        np.testing.assert_array_equal(kz_coefficients(5, 3).weights, oracle)
+        np.testing.assert_array_equal(kz_coefficients(5, 3), oracle)
 
-    @pytest.mark.parametrize("m,k", [(3, 1), (5, 2), (7, 3), (21, 5), (201, 1), (35, 4)])
+    # (21, 15) and (3, 40) have m**k >= 2**62, so they take the Python-int path.
+    @pytest.mark.parametrize("m,k", [(21, 15), (3, 40)])
+    def test_python_int_path_matches_oracle_exactly(self, m, k):
+        assert _integer_coefficients(m, k).dtype == object
+        oracle = np.array(convolution_oracle(m, k), dtype=float) / float(m) ** k
+        np.testing.assert_array_equal(kz_coefficients(m, k), oracle)
+
+    # 3**646 < 1.8e308 < 3**647: (3, 646) is the largest k at m = 3 whose m**k is a float.
+    @pytest.mark.parametrize("m,k", [(3, 1), (5, 2), (7, 3), (21, 5), (201, 1), (35, 4),
+                                     (21, 15), (3, 40), (3, 646)])
     def test_table_invariants(self, m, k):
-        table = kz_coefficients(m, k)
-        assert table.weights.size == k * (m - 1) + 1
-        assert np.all(table.weights > 0)
-        assert abs(table.weights.sum() - 1.0) <= 1e-12
-        np.testing.assert_array_equal(table.weights, table.weights[::-1])
+        weights = kz_coefficients(m, k)
+        assert weights.size == k * (m - 1) + 1
+        assert np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        np.testing.assert_array_equal(weights, weights[::-1])
+        assert not weights.flags.writeable
 
     @pytest.mark.parametrize("m", [3, 7, 21])
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_k_fold_self_convolution(self, m, k):
         # Exact in integer space by construction; float path agrees to rounding.
-        single = kz_coefficients(m, 1).weights
+        single = kz_coefficients(m, 1)
         folded = single
         for _ in range(k - 1):
             folded = np.convolve(folded, single)
-        np.testing.assert_allclose(kz_coefficients(m, k).weights, folded, rtol=1e-13)
+        np.testing.assert_allclose(kz_coefficients(m, k), folded, rtol=1e-13)
         oracle = np.array(convolution_oracle(m, k), dtype=float) / float(m) ** k
-        np.testing.assert_array_equal(kz_coefficients(m, k).weights, oracle)
+        np.testing.assert_array_equal(kz_coefficients(m, k), oracle)
 
-    @pytest.mark.parametrize("m,k", [(2, 1), (0, 1), (-3, 1), (3, 0)])
+    # The last three have m**k beyond the float range the weights are divided in.
+    @pytest.mark.parametrize("m,k", [(2, 1), (0, 1), (-3, 1), (3, 0), (3, 647), (3, 700), (201, 134)])
     def test_invalid_arguments(self, m, k):
         with pytest.raises(InvalidFilterError):
             kz_coefficients(m, k)
@@ -172,10 +183,10 @@ class TestKzftApply:
         np.testing.assert_array_equal(cached.values, fresh.values)
         assert _kzft_kernel.cache_info().hits >= 1 and _tap_mass.cache_info().hits >= 1
         # The uncached formulas, written out.
-        table = kz_coefficients(spec.m, spec.k)
-        h = table.half_width
-        kernel = table.weights * np.exp(-2j * np.pi * spec.nu * np.arange(-h, h + 1))
-        mass = np.convolve(np.ones(series.n), table.weights, mode="full")[h : h + series.n]
+        weights = kz_coefficients(spec.m, spec.k)
+        h = spec.half_width
+        kernel = weights * np.exp(-2j * np.pi * spec.nu * np.arange(-h, h + 1))
+        mass = np.convolve(np.ones(series.n), weights, mode="full")[h : h + series.n]
         cached_kernel = _kzft_kernel(spec.m, spec.k, spec.nu)
         np.testing.assert_array_equal(cached_kernel, kernel)
         np.testing.assert_array_equal(_tap_mass(spec.m, spec.k, series.n), mass)

@@ -50,9 +50,9 @@ def result_digest(result) -> str:
     for band in bands:
         for arr in (band.lower, band.point, band.upper):
             h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(result.aggregate_point.values, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(result.aggregate_band.point, dtype="<f8").tobytes())
     for comp in result.components:
-        h.update(np.ascontiguousarray(comp.run.estimates, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(comp.estimates, dtype="<f8").tobytes())
     return h.hexdigest()
 
 

@@ -10,7 +10,6 @@ from vmbpbb import (
     TimeSeries,
     bootstrap_periodic_means,
     ci_band,
-    component_seed,
     decompose,
     energy_transfer,
     kzft_apply,
@@ -71,19 +70,6 @@ class TestDecompose:
         assert np.sqrt(np.mean((comp.values[interior] - truth[interior]) ** 2)) < 0.05
 
 
-class TestComponentSeed:
-    def test_keyed_by_period_value(self):
-        base = SeedSpec(10)
-        assert component_seed(base, 50) == base.child(50)
-        assert component_seed(base, 50).generator().random() == component_seed(base, 50).generator().random()
-
-    def test_distinct_labels_distinct_streams(self):
-        base = SeedSpec(10)
-        a = component_seed(base, 50).generator().random(4)
-        b = component_seed(base, 100).generator().random(4)
-        assert not np.array_equal(a, b)
-
-
 class TestRunPipeline:
     def test_pbb_equals_manual_all_pass_construction(self):
         rng = np.random.default_rng(0)
@@ -97,8 +83,8 @@ class TestRunPipeline:
         runs = {p: bootstrap_periodic_means(series, p, 40, seed.child(p)) for p in (4, 10)}
         trajectories = np.zeros((40, 200))
         for p in sorted(runs):
-            trajectories += runs[p].estimates[:, np.arange(200) % p]
-        np.testing.assert_array_equal(result.aggregate_point.values, trajectories.mean(axis=0))
+            trajectories += runs[p][:, np.arange(200) % p]
+        np.testing.assert_array_equal(result.aggregate_band.point, trajectories.mean(axis=0))
         oracle_band = ci_band(trajectories, 0.05)
         np.testing.assert_array_equal(result.aggregate_band.lower, oracle_band.lower)
         np.testing.assert_array_equal(result.aggregate_band.upper, oracle_band.upper)
@@ -112,7 +98,7 @@ class TestRunPipeline:
         cfg = PipelineConfig(periods=(2, 5), resamples=16, seed=SeedSpec(3), mode=Mode.PBB)
         with pytest.warns(UserWarning):
             result = run_pipeline(series, cfg)
-        np.testing.assert_allclose(result.aggregate_point.values, 2 * c)
+        np.testing.assert_allclose(result.aggregate_band.point, 2 * c)
         assert result.aggregate_band.width.max() == 0.0
         for comp in result.components:
             assert comp.band.width.max() == 0.0
@@ -126,7 +112,7 @@ class TestRunPipeline:
         specs = select_filter_specs([2, 5])
         bound = sum(2 * c * np.sqrt(energy_transfer(0.0, s.m, s.k, s.nu)) for s in specs)
         assert bound < 0.8 * 2 * c
-        assert np.abs(result.aggregate_point.values).max() <= bound * 1.01
+        assert np.abs(result.aggregate_band.point).max() <= bound * 1.01
 
     def test_order_invariance(self):
         rng = np.random.default_rng(5)
@@ -134,14 +120,14 @@ class TestRunPipeline:
         series = TimeSeries(s50 + s100 + rng.normal(0, 1, 600))
         a = run_pipeline(series, PipelineConfig(periods=(50, 100), resamples=30, seed=SeedSpec(9)))
         b = run_pipeline(series, PipelineConfig(periods=(100, 50), resamples=30, seed=SeedSpec(9)))
-        np.testing.assert_array_equal(a.aggregate_point.values, b.aggregate_point.values)
+        np.testing.assert_array_equal(a.aggregate_band.point, b.aggregate_band.point)
         np.testing.assert_array_equal(a.aggregate_band.lower, b.aggregate_band.lower)
         np.testing.assert_array_equal(a.aggregate_band.upper, b.aggregate_band.upper)
         assert [c.period for c in a.components] == [50, 100]
         assert [c.period for c in b.components] == [100, 50]
         for comp_a in a.components:
             comp_b = next(c for c in b.components if c.period == comp_a.period)
-            np.testing.assert_array_equal(comp_a.run.estimates, comp_b.run.estimates)
+            np.testing.assert_array_equal(comp_a.estimates, comp_b.estimates)
 
     def test_aggregate_linearity(self):
         rng = np.random.default_rng(8)
@@ -149,16 +135,16 @@ class TestRunPipeline:
         result = run_pipeline(series, PipelineConfig(periods=(3, 8), resamples=25, seed=SeedSpec(4), mode=Mode.PBB))
         rebuilt = np.zeros((25, 120))
         for comp in sorted(result.components, key=lambda c: c.period):
-            rebuilt += comp.run.estimates[:, np.arange(120) % comp.period]
-        np.testing.assert_array_equal(result.aggregate_point.values, rebuilt.mean(axis=0))
+            rebuilt += comp.estimates[:, np.arange(120) % comp.period]
+        np.testing.assert_array_equal(result.aggregate_band.point, rebuilt.mean(axis=0))
 
     def test_band_ordering_holds_pointwise(self):
         rng = np.random.default_rng(13)
         s50, s100 = two_sine(500)
         series = TimeSeries(s50 + s100 + rng.normal(0, 2, 500))
         result = run_pipeline(series, PipelineConfig(periods=(50, 100), resamples=40, seed=SeedSpec(2)))
-        assert np.all(result.aggregate_band.lower <= result.aggregate_point.values)
-        assert np.all(result.aggregate_point.values <= result.aggregate_band.upper)
+        assert np.all(result.aggregate_band.lower <= result.aggregate_band.point)
+        assert np.all(result.aggregate_band.point <= result.aggregate_band.upper)
 
     def test_nondegenerate_band_with_two_resamples(self):
         rng = np.random.default_rng(1)
@@ -175,18 +161,29 @@ class TestRunPipeline:
         vm = run_pipeline(series, PipelineConfig(periods=(50, 100), resamples=60, seed=seed, mode=Mode.VMBPBB))
         assert np.median(pbb.aggregate_band.width / vm.aggregate_band.width) > 1.0
 
+    @pytest.mark.parametrize("resample", list(Resample))
+    def test_result_arrays_are_read_only(self, resample):
+        series = TimeSeries(np.random.default_rng(3).normal(size=100))
+        cfg = PipelineConfig(periods=(4, 10), resamples=5, seed=SeedSpec(1), resample=resample)
+        result = run_pipeline(series, cfg)
+        for comp in result.components:
+            assert comp.estimates.shape == (5, comp.period)
+            assert not comp.estimates.flags.writeable
+        assert not result.aggregate_band.point.flags.writeable
+        assert not bootstrap_periodic_means(series, 4, 3, SeedSpec(0)).flags.writeable
+
     def test_period_longer_than_series(self):
         with pytest.raises(InvalidPeriodError):
             run_pipeline(TimeSeries(np.zeros(10)), PipelineConfig(periods=(20,), resamples=4, seed=SeedSpec(0)))
 
 
 def assert_same_result(a, b):
-    np.testing.assert_array_equal(a.aggregate_point.values, b.aggregate_point.values)
+    np.testing.assert_array_equal(a.aggregate_band.point, b.aggregate_band.point)
     np.testing.assert_array_equal(a.aggregate_band.lower, b.aggregate_band.lower)
     np.testing.assert_array_equal(a.aggregate_band.upper, b.aggregate_band.upper)
     for comp_a in a.components:
         comp_b = next(c for c in b.components if c.period == comp_a.period)
-        np.testing.assert_array_equal(comp_a.run.estimates, comp_b.run.estimates)
+        np.testing.assert_array_equal(comp_a.estimates, comp_b.estimates)
         np.testing.assert_array_equal(comp_a.band.lower, comp_b.band.lower)
         np.testing.assert_array_equal(comp_a.band.upper, comp_b.band.upper)
 
@@ -244,13 +241,13 @@ class TestSeriesResample:
         draws = [pbb_resample(series, 100, seed.child(0, b).generator()) for b in range(6)]
         specs = dict(zip((50, 100), select_filter_specs((50, 100))))
         for comp in pbb.components:
-            rows = [periodic_mean(d, comp.period).means for d in draws]
-            np.testing.assert_array_equal(comp.run.estimates, np.array(rows))
+            rows = [periodic_mean(d, comp.period) for d in draws]
+            np.testing.assert_array_equal(comp.estimates, np.array(rows))
         for comp in vm.components:
             spec = specs[comp.period]
-            rows = [periodic_mean(reconstruct_component(kzft_apply(d, spec)), comp.period).means
+            rows = [periodic_mean(reconstruct_component(kzft_apply(d, spec)), comp.period)
                     for d in draws]
-            np.testing.assert_array_equal(comp.run.estimates, np.array(rows))
+            np.testing.assert_array_equal(comp.estimates, np.array(rows))
             assert comp.filter == spec
         for comp in pbb.components:
             assert comp.filter is None

@@ -13,7 +13,12 @@ from vmbpbb import (
     run_grid,
     run_scenario_detail,
 )
-from vmbpbb.errors import DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
+from vmbpbb.errors import (
+    DegenerateBandError,
+    InsufficientResamplesError,
+    InvalidPeriodError,
+    UndefinedCorrelationError,
+)
 from vmbpbb.simulation import _squared_correlation_percent
 
 
@@ -27,6 +32,10 @@ class TestScenarioConfig:
     def test_rejects_equal_periods(self):
         with pytest.raises(InvalidPeriodError):
             small_cfg(p1=25, p2=25)
+
+    def test_rejects_single_resample(self):
+        with pytest.raises(InsufficientResamplesError):
+            small_cfg(resamples=1)
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
@@ -144,7 +153,7 @@ class TestRunScenario:
         series, truth = generate_mpc(cfg, rep_seed.child(_NOISE_STREAM).generator())
         vm = run_pipeline(series, PipelineConfig(periods=(50, 100), resamples=20, seed=rep_seed.child(_BOOT_STREAM)))
         interior = slice(100, 900)
-        rms = np.sqrt(np.mean((vm.aggregate_point.values[interior] - truth.mpc.values[interior]) ** 2))
+        rms = np.sqrt(np.mean((vm.aggregate_band.point[interior] - truth.mpc.values[interior]) ** 2))
         assert rms <= 0.1
 
     def test_paired_streams_shared_across_modes(self):
@@ -154,7 +163,7 @@ class TestRunScenario:
         seed = SeedSpec(3).child(50)
         run_a = bootstrap_periodic_means(series, 4, 12, seed)
         run_b = bootstrap_periodic_means(doubled, 4, 12, seed)
-        np.testing.assert_array_equal(2.0 * run_a.estimates, run_b.estimates)
+        np.testing.assert_array_equal(2.0 * run_a, run_b)
 
     def test_metrics_invariants(self):
         metrics, records = run_scenario_detail(small_cfg(reps=5))
@@ -198,3 +207,14 @@ class TestRunGrid:
     def test_needs_two_periods(self):
         with pytest.raises(InvalidPeriodError):
             run_grid([10], [(1, 2)], n=100, resamples=10, reps=2, seed=SeedSpec(6))
+
+    def test_needs_one_snr(self):
+        with pytest.raises(ValueError):
+            run_grid([10, 25], [], n=100, resamples=10, reps=2, seed=SeedSpec(6))
+
+    def test_narrowed_follows_narrow_factor(self):
+        # A configured narrow_factor > 1 flags every cell, not only the
+        # paper-faithful ones.
+        cells = run_grid([10, 25, 50], [(1, 2)], n=200, resamples=4, reps=1, seed=SeedSpec(6),
+                         narrow_factor=2.0)
+        assert [(c.narrow_factor, c.narrowed) for c in cells] == [(2.0, True)] * 3

@@ -29,7 +29,7 @@ from .csvio import (
 from .errors import ConfigError, CsvFormatError
 from .filters import EdgePolicy, FilterSpec, energy_transfer, kzft_apply, reconstruct_component, select_filter_specs
 from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
-from .simulation import REPS_HEADER, read_rep_log, rep_rows, run_grid
+from .simulation import REPS_HEADER, read_rep_log, rep_columns, run_grid
 
 
 def _parse_threads(value) -> int:
@@ -139,10 +139,8 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     stop = min(c.start_index + c.n for c in components)
     if stop <= start:
         raise ConfigError("filter supports leave no common time range")
-    rows = []
-    for t in range(start, stop):
-        rows.append([t] + [float(c.values[t - c.start_index]) for c in components])
-    write_rows_csv(output_path, ["t"] + names, rows)
+    columns = [range(start, stop)] + [c.values[start - c.start_index : stop - c.start_index] for c in components]
+    write_rows_csv(output_path, ["t"] + names, columns)
     manifest = manifest_for(
         "filter",
         {
@@ -185,17 +183,11 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = range(series.start_index, series.start_index + series.n)
-
-    def band_rows(band):
-        return [
-            [t, float(band.lower[i]), float(band.point[i]), float(band.upper[i])]
-            for i, t in enumerate(times)
-        ]
-
     bands = [(f"component_p{c.period}.csv", c.band) for c in result.components]
     bands.append(("aggregate.csv", result.aggregate_band))
     for name, band in bands:
-        write_rows_csv(outdir / name, ["t", "lower", "point", "upper"], band_rows(band))
+        write_rows_csv(outdir / name, ["t", "lower", "point", "upper"],
+                       [times, band.lower, band.point, band.upper])
     manifest = manifest_for(
         "run",
         {
@@ -307,48 +299,52 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
             snrs.append(c.snr)
     by_key = {(c.snr, c.p1, c.p2): c for c in cells}
 
-    def matrix_rows(value_of):
-        rows = []
-        for snr in snrs:
-            for p_row in periods:
-                row = [_snr_label(snr), p_row]
-                for p_col in periods:
-                    cell = by_key.get((snr, min(p_row, p_col), max(p_row, p_col)))
-                    row.append(None if p_row == p_col or cell is None else value_of(cell))
-                rows.append(row)
-        return rows
+    # One table row per (snr, period); one column per partner period, empty on the diagonal.
+    row_keys = [(snr, p_row) for snr in snrs for p_row in periods]
+
+    def matrix_columns(value_of):
+        def entry(snr, p_row, p_col):
+            cell = by_key.get((snr, min(p_row, p_col), max(p_row, p_col)))
+            return None if p_row == p_col or cell is None else value_of(cell)
+
+        return [[_snr_label(snr) for snr, _ in row_keys], [p_row for _, p_row in row_keys]] + [
+            [entry(snr, p_row, p_col) for snr, p_row in row_keys] for p_col in periods
+        ]
+
+    def cell_columns(*getters):
+        return [[get(c) for c in cells] for get in getters]
 
     header = ["snr", "period"] + [str(p) for p in periods]
-    write_rows_csv(outdir / "table1.csv", header, matrix_rows(lambda c: c.metrics.ci_ratio_median))
+    write_rows_csv(outdir / "table1.csv", header, matrix_columns(lambda c: c.metrics.ci_ratio_median))
     # Table 2 cells that ran with a narrowed window design carry a '*' suffix.
     write_rows_csv(
         outdir / "table2.csv",
         header,
-        matrix_rows(lambda c: fmt_float(c.metrics.r2_diff) + ("*" if c.narrowed else "")),
+        matrix_columns(lambda c: fmt_float(c.metrics.r2_diff) + ("*" if c.narrowed else "")),
     )
     write_rows_csv(
         outdir / "coverage.csv",
         ["snr", "p1", "p2", "outside_pbb", "outside_vmbpbb"],
-        [
-            [_snr_label(c.snr), c.p1, c.p2, c.metrics.outside_frac_pbb, c.metrics.outside_frac_vmbpbb]
-            for c in cells
-        ],
+        cell_columns(
+            lambda c: _snr_label(c.snr), lambda c: c.p1, lambda c: c.p2,
+            lambda c: c.metrics.outside_frac_pbb, lambda c: c.metrics.outside_frac_vmbpbb,
+        ),
     )
     write_rows_csv(
         outdir / "cells.csv",
         ["snr_signal", "snr_noise", "p1", "p2", "narrow_factor", "narrowed", "reps",
          "ci_ratio_median", "r2_pbb", "r2_vmbpbb", "r2_diff", "outside_pbb", "outside_vmbpbb"],
-        [
-            [c.snr[0], c.snr[1], c.p1, c.p2, c.narrow_factor, int(c.narrowed),
-             c.metrics.reps_completed, c.metrics.ci_ratio_median, c.metrics.r2_pbb,
-             c.metrics.r2_vmbpbb, c.metrics.r2_diff, c.metrics.outside_frac_pbb,
-             c.metrics.outside_frac_vmbpbb]
-            for c in cells
-        ],
+        cell_columns(
+            lambda c: c.snr[0], lambda c: c.snr[1], lambda c: c.p1, lambda c: c.p2,
+            lambda c: c.narrow_factor, lambda c: int(c.narrowed), lambda c: c.metrics.reps_completed,
+            lambda c: c.metrics.ci_ratio_median, lambda c: c.metrics.r2_pbb, lambda c: c.metrics.r2_vmbpbb,
+            lambda c: c.metrics.r2_diff, lambda c: c.metrics.outside_frac_pbb,
+            lambda c: c.metrics.outside_frac_vmbpbb,
+        ),
     )
     outputs = ["table1.csv", "table2.csv", "coverage.csv", "cells.csv"]
     if write_reps:
-        write_rows_csv(outdir / "reps.csv", REPS_HEADER, rep_rows(cells))
+        write_rows_csv(outdir / "reps.csv", REPS_HEADER, rep_columns(cells))
         outputs.append("reps.csv")
     return outputs
 
@@ -426,12 +422,15 @@ def cmd_transfer(spec_texts, grid_text, output_path):
     except ValueError as exc:
         raise ConfigError(f"bad --grid value {grid_text!r}: {exc}") from exc
     specs = [_parse_spec(text) for text in spec_texts]
-    rows = []
-    for spec in specs:
-        energies = energy_transfer(freqs, spec.m, spec.k, spec.nu)
-        for lam, energy in zip(freqs, energies):
-            rows.append([spec.m, spec.k, float(spec.nu), float(lam), float(energy)])
-    write_rows_csv(output_path, ["m", "k", "nu", "lambda", "energy"], rows)
+    # One block of rows per spec, one row per grid frequency.
+    columns = [
+        [spec.m for spec in specs for _ in freqs],
+        [spec.k for spec in specs for _ in freqs],
+        np.repeat([float(spec.nu) for spec in specs], freqs.size),
+        np.tile(freqs, len(specs)),
+        np.concatenate([energy_transfer(freqs, spec.m, spec.k, spec.nu) for spec in specs]),
+    ]
+    write_rows_csv(output_path, ["m", "k", "nu", "lambda", "energy"], columns)
     manifest = manifest_for(
         "transfer",
         {"specs": [{"m": s.m, "k": s.k, "nu": s.nu} for s in specs], "grid": grid_text},

@@ -1,9 +1,9 @@
 """CSV input/output and run manifests for the command-line surface.
 
 Input series use a strict two-column format with header ``t,value``; the time
-column must be consecutive integers (unit spacing, no gaps). Floats are
-written with 17 significant digits so every file round-trips double precision
-exactly.
+column must be consecutive integers (unit spacing, no gaps). Input files are
+read as UTF-8. Floats are written with 17 significant digits so every file
+round-trips double precision exactly.
 """
 
 from __future__ import annotations
@@ -11,9 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import CsvFormatError
@@ -26,13 +30,23 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+@contextmanager
+def csv_reader(path):
+    """A csv.reader over a UTF-8 file; bytes that do not decode are a CsvFormatError naming it."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
+
+
 def read_series_csv(path) -> TimeSeries:
     """Parse a t,value CSV into a TimeSeries; the first t becomes start_index."""
     path = Path(path)
     times = []
     values = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise CsvFormatError(f"{path.name}: empty input file")
@@ -63,17 +77,46 @@ def read_series_csv(path) -> TimeSeries:
         raise CsvFormatError(f"{path.name}: {exc}") from exc
 
 
-def write_rows_csv(path, header, rows) -> None:
-    """Write rows of mixed ints/floats/strings; floats get full precision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell))
-                for cell in row
-            ])
+def _quoted(text: str) -> str:
+    """A field as csv.writer's minimal quoting writes it with a "\\n" line terminator."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_fields(column) -> list:
+    """The written fields of one column.
+
+    A float64 array formats each distinct bit pattern once, so a band that
+    repeats every period costs one format per phase; keying by bits keeps
+    0.0 and -0.0 apart. Any other cell is formatted on its own: floats
+    (np.float64 included, np.float32 not) with 17 significant digits, None
+    as an empty field, the rest with str().
+    """
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = np.array([fmt_float(v) for v in bits.view(np.float64)], dtype=object)
+        return texts[inverse].tolist()
+    return [
+        _quoted(fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell)))
+        for cell in column
+    ]
+
+
+def write_rows_csv(path, header, columns) -> None:
+    """Write one column per header name, all of one length; floats get full precision.
+
+    The bytes are those csv.writer writes with minimal quoting and "\\n" line
+    ends, a row holding one empty field included (it is written as "").
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    fields = [_column_fields(column) for column in columns]
+    rows = chain([[_quoted(str(name)) for name in header]], zip(*fields, strict=True))
+    # With one column a line joins to "" only for an empty field, which csv.writer writes as "".
+    empty = '""' if len(header) == 1 else ""
+    with Path(path).open("w", newline="") as fh:
+        fh.writelines((",".join(row) or empty) + "\n" for row in rows)
 
 
 def sha256_file(path) -> str:

@@ -8,7 +8,6 @@ attributable to the bandpass step alone.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
+from .csvio import csv_reader
 from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
 from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_paired, validate_resamples
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
@@ -284,30 +284,31 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     return cells
 
 
-# Per-repetition log (reps.csv): one row per record, cells in grid order.
+# Per-repetition log (reps.csv): one row per record, cells in grid order; the
+# cell's grid coordinates, then the RepRecord fields by name.
 REPS_HEADER = [
     "snr_signal", "snr_noise", "p1", "p2", "narrow_factor",
     "rep", "ci_ratio", "outside_pbb", "outside_vmbpbb", "r2_pbb", "r2_vmbpbb",
 ]
 
 
-def rep_rows(cells):
-    """The reps.csv rows of the cells' records, one per repetition."""
-    for cell in cells:
-        for rec in cell.records:
-            yield [
-                cell.snr[0], cell.snr[1], cell.p1, cell.p2, cell.narrow_factor,
-                rec.rep, rec.ci_ratio, rec.outside_pbb, rec.outside_vmbpbb,
-                rec.r2_pbb, rec.r2_vmbpbb,
-            ]
+def rep_columns(cells):
+    """The reps.csv columns of the cells' records, one row per repetition."""
+    pairs = [(cell, rec) for cell in cells for rec in cell.records]
+    return [
+        [cell.snr[0] for cell, _ in pairs],
+        [cell.snr[1] for cell, _ in pairs],
+        [cell.p1 for cell, _ in pairs],
+        [cell.p2 for cell, _ in pairs],
+        [cell.narrow_factor for cell, _ in pairs],
+    ] + [[getattr(rec, name) for _, rec in pairs] for name in REPS_HEADER[5:]]
 
 
 def read_rep_log(path) -> list[GridCell]:
     """Rebuild the grid cells, metrics included, from a reps.csv log."""
     name = Path(path).name
     cells = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         if next(reader, None) != REPS_HEADER:
             raise CsvFormatError(f"{name} line 1: expected header {','.join(REPS_HEADER)}")
         for lineno, row in enumerate(reader, start=2):

@@ -19,7 +19,7 @@ def runner():
 
 
 def write_series(path, values, start=0):
-    write_rows_csv(path, ["t", "value"], [[start + i, float(v)] for i, v in enumerate(values)])
+    write_rows_csv(path, ["t", "value"], [range(start, start + len(values)), np.asarray(values, dtype=float)])
 
 
 def two_sine_csv(path, n=1000):
@@ -476,3 +476,21 @@ def test_version_is_the_same_everywhere(runner, tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert result.output == f"vmbpbb, version {vmbpbb.__version__}\n"
     assert manifest["version"] == packaged == vmbpbb.__version__
+
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("filter", ["--periods", "2"]),
+    ("run", ["--periods", "2", "--seed", "1"]),
+    ("report", []),
+])
+def test_non_utf8_input_is_data_error(runner, tmp_path, command, extra):
+    src = tmp_path / "latin1.csv"
+    header = ",".join(simulation.REPS_HEADER) if command == "report" else "t,value"
+    src.write_bytes(header.encode() + b"\n0,1.5\n1,caf\xe9\n")
+    out = tmp_path / ("out.csv" if command == "filter" else "out")
+    result = runner.invoke(main, [command, str(src), *extra, "-o", str(out)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:data: latin1.csv: not UTF-8 text")
+    assert len(result.stderr.splitlines()) == 1

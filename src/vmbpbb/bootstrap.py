@@ -82,44 +82,93 @@ class CIBand:
         return self.upper - self.lower
 
 
-def _index_sampler(n: int, p: int):
-    """Phase layout of a length-n series at period p, and its resample index draw.
-
-    Returns (phases, counts, draw): draw(rng) gives one resample's source
-    indices, slot t drawing uniformly from the subset of phase t mod p.
-    """
+def _phase_layout(n: int, p: int):
+    """Each slot's phase t mod p, and the member count of every phase."""
     phases = np.arange(n) % p
-    counts = np.bincount(phases, minlength=p)
-    # When p divides n every slot has the same bound; numpy draws that scalar
-    # bound bit for bit like the per-slot array, and faster.
-    high = int(counts[0]) if n % p == 0 else counts[phases]
-    return phases, counts, lambda rng: phases + p * rng.integers(0, high, size=n)
+    return phases, np.bincount(phases, minlength=p)
+
+
+def _index_sampler(n: int, p: int):
+    """The resample index draw of a length-n series at period p.
+
+    draw(seq) gives one resample's source indices from the SeedSequence seq,
+    slot t drawing uniformly from the subset of phase t mod p. It equals, bit
+    for bit,
+
+        phases + p * Generator(PCG64(seq)).integers(0, counts[phases], size=n)
+
+    numpy draws each bound below 2**32 by Lemire's method: slot t takes the
+    next 32-bit word w of the stream (the low half of a 64-bit output first),
+    and its offset is (w * bound) >> 32, unless the low 32 bits of that
+    product fall below 2**32 % bound, in which case w is rejected and the
+    slot takes the next word. A slot whose phase has one member takes no
+    word. Here the live slots read their words from PCG64(seq).random_raw in
+    one vectorised step; a row that holds a rejected word (about 1e-4 of
+    rows at the hourly bounds) is redrawn by numpy itself.
+    """
+    phases, counts = _phase_layout(n, p)
+    bounds = counts[phases]
+    live = bounds > 1
+    # Singleton phases occur only when n < 2p; their slots keep offset 0.
+    scatter = not live.all()
+    bound = bounds[live].astype(np.uint64)
+    live_slots = bound.size
+    low_bound = bound.astype(np.uint32)
+    threshold = (np.uint64(2**32) % bound).astype(np.uint32)
+    # Any rejected word leaves a low product below the largest threshold.
+    screen = threshold.max(initial=0)
+    base = phases.astype(np.uint64)
+
+    def draw(seq):
+        raw = np.random.PCG64(seq).random_raw((live_slots + 1) // 2)
+        words = raw.astype("<u8", copy=False).view("<u4")[:live_slots]
+        low = words * low_bound  # the product's low 32 bits, by uint32 wraparound
+        if low.min(initial=screen) < screen and np.any(low < threshold):
+            generator = np.random.Generator(np.random.PCG64(seq))
+            return phases + p * generator.integers(0, bounds, size=n)
+        offsets = words.astype(np.uint64)
+        offsets *= bound
+        offsets >>= 32
+        if scatter:
+            offsets, live_offsets = np.zeros(n, dtype=np.uint64), offsets
+            offsets[live] = live_offsets
+        offsets *= p
+        offsets += base
+        return offsets.view(np.int64)
+
+    return draw
 
 
 def pbb_resample(series: TimeSeries, p: int, rng: np.random.Generator) -> TimeSeries:
     """Draw one periodic block bootstrap resample of the series at period p.
 
     Output slot t receives a uniform draw from the phase subset t mod p; all n
-    draws are independent and with replacement.
+    draws are independent and with replacement. The offsets come from
+    rng.integers, so rng may be any Generator at any point of its stream.
     """
     p = _validate_period(p, series.n)
-    _, _, draw = _index_sampler(series.n, p)
-    return TimeSeries(series.values[draw(rng)], series.start_index)
+    phases, counts = _phase_layout(series.n, p)
+    index = phases + p * rng.integers(0, counts[phases], size=series.n)
+    return TimeSeries(series.values[index], series.start_index)
 
 
 def resample_indices(n: int, p: int, resamples: int, seed: SeedSpec):
     """An iterator over the source indices of resamples b = 0..resamples-1 at period p.
 
     Resample b draws from its own sub-stream seed.child(b), so rows are
-    reproducible individually; its indices equal those pbb_resample draws
-    with rng = seed.child(b).generator().
+    reproducible individually. Its indices equal those pbb_resample draws
+    with rng = seed.child(b).generator(): the bits of
+    Generator(PCG64(seq_b)).integers(0, counts[phases], size=n), with seq_b
+    the b-th SeedSequence that root.spawn(resamples) makes from
+    SeedSequence(seed.master_seed, spawn_key=seed.labels). They are drawn
+    from the raw PCG64 words without a Generator (see _index_sampler).
     """
     resamples = int(resamples)
     if resamples < 1:
         raise InsufficientResamplesError("need at least one resample")
-    _, _, draw = _index_sampler(n, _validate_period(p, n))
+    draw = _index_sampler(n, _validate_period(p, n))
     root = np.random.SeedSequence(seed.master_seed, spawn_key=seed.labels)
-    return (draw(np.random.Generator(np.random.PCG64(seq))) for seq in root.spawn(resamples))
+    return map(draw, root.spawn(resamples))
 
 
 def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
@@ -135,13 +184,17 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     k, n = values.shape
     draws = resample_indices(n, p, resamples, seed)
     p, resamples = int(p), int(resamples)
-    phases, counts, _ = _index_sampler(n, p)
+    phases, counts = _phase_layout(n, p)
     # Row i's phase s lands in bin i*p + s; bincount adds each bin's weights in
     # index order, so every row sums exactly as a one-row bincount would.
     bins = (phases + p * np.arange(k)[:, None]).ravel()
+    # Row i of the stack starts at i*n in the flat array.
+    flat = values.ravel()
+    starts = n * np.arange(k)[:, None]
     estimates = np.empty((k, resamples, p))
     for b, index in enumerate(draws):
-        sums = np.bincount(bins, weights=values[:, index].ravel(), minlength=k * p)
+        gathered = flat.take(index if k == 1 else index + starts)
+        sums = np.bincount(bins, weights=gathered.ravel(), minlength=k * p)
         estimates[:, b] = sums.reshape(k, p) / counts
     return estimates
 

@@ -14,7 +14,6 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,23 +83,30 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _column_fields(column) -> list:
-    """The written fields of one column.
+def _column_fields(column, end: str) -> list:
+    """The written fields of one column, each followed by end.
 
     A float64 array formats each distinct bit pattern once, so a band that
     repeats every period costs one format per phase; keying by bits keeps
-    0.0 and -0.0 apart. Any other cell is formatted on its own: floats
+    0.0 and -0.0 apart. A range or an integer array is written with str(),
+    which never needs quoting. Any other cell is formatted on its own: floats
     (np.float64 included, np.float32 not) with 17 significant digits, None
     as an empty field, the rest with str().
     """
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        texts = np.array([fmt_float(v) for v in bits.view(np.float64)], dtype=object)
+        texts = np.array([fmt_float(v) + end for v in bits.view(np.float64)], dtype=object)
         return texts[inverse].tolist()
-    return [
-        _quoted(fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell)))
-        for cell in column
-    ]
+    if isinstance(column, range):
+        texts = map(str, column)
+    elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        texts = map(str, column.tolist())
+    else:
+        texts = (
+            _quoted(fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell)))
+            for cell in column
+        )
+    return [text + end for text in texts] if end else list(texts)
 
 
 def write_rows_csv(path, header, columns) -> None:
@@ -111,12 +117,17 @@ def write_rows_csv(path, header, columns) -> None:
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    fields = [_column_fields(column) for column in columns]
-    rows = chain([[_quoted(str(name)) for name in header]], zip(*fields, strict=True))
-    # With one column a line joins to "" only for an empty field, which csv.writer writes as "".
-    empty = '""' if len(header) == 1 else ""
+    # The line end rides on the last column's fields, so no string is built per line.
+    fields = [_column_fields(column, "\n" if i == len(columns) - 1 else "")
+              for i, column in enumerate(columns)]
+    head = ",".join(_quoted(str(name)) for name in header)
+    if len(header) == 1:
+        # csv.writer writes a lone empty field as "", so the line does not read back as blank.
+        head = head or '""'
+        fields[0] = [text if text != "\n" else '""\n' for text in fields[0]]
     with Path(path).open("w", newline="") as fh:
-        fh.writelines((",".join(row) or empty) + "\n" for row in rows)
+        fh.write(head + "\n")
+        fh.writelines(map(",".join, zip(*fields, strict=True)))
 
 
 def sha256_file(path) -> str:

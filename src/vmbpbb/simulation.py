@@ -18,7 +18,14 @@ import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
 from .csvio import csv_reader
-from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
+from .errors import (
+    CsvFormatError,
+    DegenerateBandError,
+    InvalidFilterError,
+    InvalidPeriodError,
+    UndefinedCorrelationError,
+)
+from .filters import select_filter_specs
 from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_paired, validate_resamples
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .pipeline import run_pipeline  # noqa: F401
@@ -40,7 +47,8 @@ class ScenarioConfig:
     resample is passed to both pipelines of every repetition (see
     pipeline.Resample): COMPONENTS, the default, is the paper's construction;
     SERIES resamples the whole simulated series at lcm(p1, p2) and needs
-    n >= 2 * lcm(p1, p2); a shorter n raises InvalidPeriodError here.
+    n >= 2 * lcm(p1, p2); a shorter n raises InvalidPeriodError here. A
+    designed filter window wider than n raises InvalidFilterError here.
     """
 
     p1: int
@@ -71,6 +79,12 @@ class ScenarioConfig:
             raise ValueError("snr parts must be positive (noise part may be 0 for noiseless tests)")
         if self.reps < 1:
             raise ValueError("need at least one repetition")
+        for p, spec in zip((p1, p2), select_filter_specs((p1, p2), self.narrow_factor)):
+            if spec.support > self.n:
+                raise InvalidFilterError(
+                    f"cell ({p1}, {p2}) at snr {signal:g}:{noise:g}: the period-{p} filter window "
+                    f"m={spec.m} (k={spec.k}) spans {spec.support} samples, more than n={self.n}"
+                )
 
 
 @dataclass(frozen=True, eq=False)

@@ -118,7 +118,7 @@ class TestPbbResample:
             out = pbb_resample(series, 2, rng).values
             assert set(out[0::2]) <= even and set(out[1::2]) <= odd
 
-    # None of these periods divides n, so every draw takes the per-slot bound.
+    # None of these periods divides n, so the phases hold unequal counts.
     @pytest.mark.parametrize("n,p", [(n, p) for n in (7, 17, 101) for p in (2, 5, 24) if p <= n])
     def test_support_preserved_when_period_does_not_divide_n(self, n, p):
         part = phase_partition(n, p)
@@ -142,6 +142,58 @@ class TestPbbResample:
         for slot, pair in [(0, (10, 30)), (1, (20, 40)), (2, (10, 30)), (3, (20, 40))]:
             frac = np.mean(draws[:, slot] == pair[0])
             assert frac == pytest.approx(0.5, abs=0.02)
+
+
+def numpy_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
+    """Reference oracle: numpy's bounded integers on each row's own stream."""
+    phases = np.arange(n) % p
+    counts = np.bincount(phases, minlength=p)
+    root = np.random.SeedSequence(seed.master_seed, spawn_key=seed.labels)
+    return [phases + p * np.random.Generator(np.random.PCG64(seq)).integers(0, counts[phases], size=n)
+            for seq in root.spawn(resamples)]
+
+
+class TestResampleIndicesDraw:
+    def assert_rows_equal_numpy(self, n, p, resamples, seed):
+        rows = list(resample_indices(n, p, resamples, seed))
+        for b, (got, want) in enumerate(zip(rows, numpy_rows(n, p, resamples, seed), strict=True)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=f"n={n} p={p} row {b}")
+
+    def test_every_layout_up_to_40_equals_numpy(self):
+        # Covers p | n, p not dividing n, n == p and n < 2p (singleton phases).
+        for n in range(1, 41):
+            for p in range(1, n + 1):
+                self.assert_rows_equal_numpy(n, p, 4, SeedSpec(n, (p,)))
+
+    @pytest.mark.parametrize("n,p", [(990, 100), (1000, 168), (8760, 24), (8760, 168)])
+    def test_long_series_equal_numpy(self, n, p):
+        self.assert_rows_equal_numpy(n, p, 20, SeedSpec(7, (n, p)))
+
+    @pytest.mark.parametrize("n,p", [(7, 7), (7, 5), (39, 20), (40, 39)])
+    def test_singleton_phases_take_no_word(self, n, p):
+        # The live slots' offsets are numpy's draw over their bounds alone, so
+        # the slots of one-member phases consume nothing from the stream.
+        phases = np.arange(n) % p
+        bounds = np.bincount(phases, minlength=p)[phases]
+        live = bounds > 1
+        seed = SeedSpec(3, (n, p))
+        (seq,) = np.random.SeedSequence(3, spawn_key=(n, p)).spawn(1)
+        (row,) = resample_indices(n, p, 1, seed)
+        offsets = (row - phases) // p
+        assert np.all(offsets[~live] == 0)
+        expected = np.random.Generator(np.random.PCG64(seq)).integers(0, bounds[live])
+        np.testing.assert_array_equal(offsets[live], expected)
+
+    def test_row_with_rejected_word_equals_numpy(self):
+        n, p, seed = 8760, 2, SeedSpec(430)
+        bound = n // p
+        (seq,) = np.random.SeedSequence(430).spawn(1)
+        words = np.random.PCG64(seq).random_raw(n // 2).astype("<u8").view("<u4").astype(np.uint64)
+        # numpy's Lemire step rejects a word whose product's low half is below 2**32 % bound.
+        rejected = np.flatnonzero((words * bound) % 2**32 < 2**32 % bound)
+        assert rejected.tolist() == [1725]
+        self.assert_rows_equal_numpy(n, p, 1, seed)
 
 
 class TestBootstrapPeriodicMeans:

@@ -267,9 +267,10 @@ class TestSimulateAndReport:
 
     def test_report_round_trips_tables_with_configured_narrowing(self, runner, tmp_path):
         # narrow_factor 2 narrows every cell, not only the paper-faithful (10, 25) one.
+        # n = 201 fits the doubled (25, 50) window, m = 201.
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({
-            "periods": [10, 25, 50], "snrs": [[1, 2]], "n": 200,
+            "periods": [10, 25, 50], "snrs": [[1, 2]], "n": 201,
             "resamples": 6, "reps": 2, "seed": 5, "narrow_factor": 2.0,
         }))
         out, rep_out = tmp_path / "sim", tmp_path / "reported"
@@ -389,6 +390,19 @@ class TestSimulateAndReport:
                                       "-o", str(out)])
         assert result.exit_code == 2
         assert "error:config:" in result.output
+        assert not out.exists()
+
+    def test_filter_window_wider_than_series_is_config_error(self, runner, tmp_path):
+        config = tmp_path / "grid.json"
+        # (10, 25) and (10, 50) fit n = 120, but the doubled (25, 50) window has m = 201.
+        config.write_text(json.dumps({"periods": [10, 25, 50], "snrs": [[1, 2]], "n": 120,
+                                      "narrow_factor": 2, "seed": 1}))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["simulate", "--config", str(config), "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:config: cell (25, 50)")
+        assert "m=201" in result.stderr and "n=120" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
         assert not out.exists()
 
     def test_paper_scale_warns_and_proceeds(self, runner, tmp_path):

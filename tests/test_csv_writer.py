@@ -73,12 +73,15 @@ def tables(draw):
     header = [draw(texts) for _ in range(n_cols)]
     columns = []
     for _ in range(n_cols):
-        kind = draw(st.sampled_from(["float64", "float32", "mixed", "range"]))
+        kind = draw(st.sampled_from(["float64", "float32", "int64", "mixed", "range"]))
         if kind == "float64":
             columns.append(draw(float64_column(n_rows)))
         elif kind == "float32":
             # Cells of a float32 array are no float instances, so they are written with str().
             columns.append(np.array([draw(st.floats(width=32)) for _ in range(n_rows)], dtype=np.float32))
+        elif kind == "int64":
+            column = np.array([draw(st.integers(-(2**63), 2**63 - 1)) for _ in range(2 * n_rows)], dtype=np.int64)
+            columns.append(column[::2] if draw(st.booleans()) else column[:n_rows])
         elif kind == "range":
             start = draw(st.integers(-5, 5))
             columns.append(range(start, start + n_rows))
@@ -103,6 +106,22 @@ def test_signed_zeros_keep_their_sign(tmp_path):
 def test_one_column_empty_cell_is_quoted(tmp_path):
     assert_same_bytes(tmp_path, ["v"], [["", None, "x", ""]])
     assert (tmp_path / "new.csv").read_text() == 'v\n""\n""\nx\n""\n'
+
+
+def test_one_column_empty_header_is_quoted(tmp_path):
+    assert_same_bytes(tmp_path, [""], [np.array([1.5])])
+    assert (tmp_path / "new.csv").read_text() == '""\n1.5\n'
+
+
+def test_no_columns_write_an_empty_header_line(tmp_path):
+    assert_same_bytes(tmp_path, [], [])
+    assert (tmp_path / "new.csv").read_text() == "\n"
+
+
+def test_integer_columns_match_their_cells(tmp_path):
+    ints = np.array([-(2**63), -1, 0, 7, 2**63 - 1], dtype=np.int64)
+    assert_same_bytes(tmp_path, ["r", "i", "u"], [range(-2, 3), ints, ints.view(np.uint64)])
+    assert (tmp_path / "new.csv").read_text().splitlines()[1] == "-2,-9223372036854775808,9223372036854775808"
 
 
 def test_float32_cells_use_str(tmp_path):

@@ -259,10 +259,11 @@ class TestSeriesResample:
         with pytest.raises(InvalidPeriodError):
             run_pipeline(TimeSeries(rng.normal(size=23)), cfg)
         run_pipeline(TimeSeries(rng.normal(size=24)), cfg)
-        # n = 200 covers two cycles of each period but not of lcm(50, 75) = 150
+        # n = 200 covers two cycles of each period but not of lcm(30, 50) = 150.
+        # (The (50, 75) window, m = 301, would not fit n = 300.)
         with pytest.raises(InvalidPeriodError):
-            ScenarioConfig(p1=50, p2=75, snr=(1, 10), n=200, resample=Resample.SERIES)
-        ScenarioConfig(p1=50, p2=75, snr=(1, 10), n=300, resample=Resample.SERIES)
+            ScenarioConfig(p1=30, p2=50, snr=(1, 10), n=200, resample=Resample.SERIES)
+        ScenarioConfig(p1=30, p2=50, snr=(1, 10), n=300, resample=Resample.SERIES)
 
     def test_threads_match_serial(self):
         cfg = ScenarioConfig(p1=10, p2=25, snr=(1, 10), n=200, resamples=20, reps=4,

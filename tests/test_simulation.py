@@ -16,6 +16,7 @@ from vmbpbb import (
 from vmbpbb.errors import (
     DegenerateBandError,
     InsufficientResamplesError,
+    InvalidFilterError,
     InvalidPeriodError,
     UndefinedCorrelationError,
 )
@@ -40,6 +41,12 @@ class TestScenarioConfig:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             small_cfg(n=49, p1=10, p2=25)
+
+    def test_rejects_filter_window_wider_than_series(self):
+        # Doubled, the (25, 50) window is the smallest odd m > 2 * 2 / (1/25 - 1/50) = 200.
+        with pytest.raises(InvalidFilterError, match=r"cell \(25, 50\).*m=201.*n=120"):
+            small_cfg(p1=25, p2=50, n=120, narrow_factor=2.0)
+        assert small_cfg(p1=25, p2=50, n=201, narrow_factor=2.0).n == 201
 
     def test_rejects_bad_snr(self):
         with pytest.raises(ValueError):
@@ -212,9 +219,16 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid([10, 25], [], n=100, resamples=10, reps=2, seed=SeedSpec(6))
 
+    def test_checks_every_filter_window_before_running(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("vmbpbb.simulation.run_scenario_detail", lambda cfg, threads: ran.append(cfg))
+        with pytest.raises(InvalidFilterError, match=r"cell \(25, 50\)"):
+            run_grid([10, 25, 50], [(1, 2)], n=120, narrow_factor=2.0, seed=SeedSpec(1))
+        assert ran == []
+
     def test_narrowed_follows_narrow_factor(self):
         # A configured narrow_factor > 1 flags every cell, not only the
-        # paper-faithful ones.
-        cells = run_grid([10, 25, 50], [(1, 2)], n=200, resamples=4, reps=1, seed=SeedSpec(6),
+        # paper-faithful ones. n = 201 fits the doubled (25, 50) window, m = 201.
+        cells = run_grid([10, 25, 50], [(1, 2)], n=201, resamples=4, reps=1, seed=SeedSpec(6),
                          narrow_factor=2.0)
         assert [(c.narrow_factor, c.narrowed) for c in cells] == [(2.0, True)] * 3

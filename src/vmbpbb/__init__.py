@@ -34,7 +34,6 @@ from .pipeline import (
     MpcResult,
     PipelineConfig,
     Resample,
-    decompose,
     run_paired,
     run_pipeline,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "bootstrap_periodic_means",
     "ci_band",
     "ci_ratio",
-    "decompose",
     "energy_transfer",
     "generate_mpc",
     "half_power_cutoff",

@@ -93,23 +93,12 @@ def _validate_filter_args(m: int, k: int) -> None:
 
 
 def _integer_coefficients(m: int, k: int) -> np.ndarray:
-    """Unnormalized coefficients of (1 + z + ... + z^(m-1))^k, exact integers."""
-    # int64 is exact while m**k fits; fall back to Python ints beyond that.
-    if k * math.log(m if m > 1 else 2) < 62 * math.log(2):
-        coeffs = np.ones(m, dtype=np.int64)
-        window = coeffs
-        for _ in range(k - 1):
-            coeffs = np.convolve(coeffs, window)
-        return coeffs
-    coeffs = [1] * m
-    window = list(coeffs)
+    """Unnormalized coefficients of (1 + z + ... + z^(m-1))^k, exact Python integers."""
+    window = np.ones(m, dtype=object)
+    coeffs = window
     for _ in range(k - 1):
-        out = [0] * (len(coeffs) + m - 1)
-        for i, ci in enumerate(coeffs):
-            for j, wj in enumerate(window):
-                out[i + j] += ci * wj
-        coeffs = out
-    return np.array(coeffs, dtype=object)
+        coeffs = np.convolve(coeffs, window)
+    return coeffs
 
 
 def kz_coefficients(m: int, k: int) -> np.ndarray:
@@ -242,13 +231,16 @@ def select_filter_specs(periods, narrow_factor: float = 1.0) -> list[FilterSpec]
     period uses d = nu, placing the band edge halfway to zero frequency.
     """
     periods = validate_periods(periods)
-    if narrow_factor < 1.0:
-        raise InvalidFilterError("narrow_factor must be >= 1")
+    # Written so that NaN fails too.
+    if not narrow_factor >= 1.0:
+        raise InvalidFilterError(f"narrow_factor must be >= 1, got {narrow_factor}")
     freqs = [1.0 / p for p in periods]
     specs = []
     for i, nu in enumerate(freqs):
         others = [abs(nu - g) for j, g in enumerate(freqs) if j != i]
         d = min(others) if others else nu
-        m = _smallest_odd_above(narrow_factor * 2.0 / d)
-        specs.append(FilterSpec(m=m, k=1, nu=nu))
+        target = narrow_factor * 2.0 / d
+        if not math.isfinite(target):
+            raise InvalidFilterError(f"narrow_factor {narrow_factor} gives an unbounded window")
+        specs.append(FilterSpec(m=_smallest_odd_above(target), k=1, nu=nu))
     return specs

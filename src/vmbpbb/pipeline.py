@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .bootstrap import CIBand, SeedSpec, bootstrap_phase_means, ci_band, resample_indices
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .bootstrap import bootstrap_periodic_means  # noqa: F401
-from .errors import InsufficientResamplesError, InvalidPeriodError
+from .errors import InsufficientResamplesError, InvalidFilterError, InvalidPeriodError
 from .filters import FilterSpec, kzft_apply, reconstruct_component, select_filter_specs
 from .series import TimeSeries, periodic_mean, validate_periods
 
@@ -52,14 +52,6 @@ class Resample(Enum):
     SERIES = "series"
 
 
-def validate_resamples(resamples) -> int:
-    """The resample count of a pipeline: an integer >= 2, as quantile bands need."""
-    resamples = int(resamples)
-    if resamples < 2:
-        raise InsufficientResamplesError("pipelines need at least 2 resamples")
-    return resamples
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a pipeline run depends on besides the input series.
@@ -68,6 +60,9 @@ class PipelineConfig:
     differ only in mode share their draws under either construction: the
     per-period sub-streams seed.child(p) under COMPONENTS, the whole-series
     draws seed.child(0, b) under SERIES.
+
+    filters holds VMBPBB's designed filter per period, in period order; it is
+    derived from periods and narrow_factor and cannot be set.
     """
 
     periods: tuple
@@ -77,13 +72,17 @@ class PipelineConfig:
     mode: Mode = Mode.VMBPBB
     alpha: float = 0.05
     resample: Resample = Resample.COMPONENTS
+    filters: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "periods", validate_periods(self.periods))
-        object.__setattr__(self, "resamples", validate_resamples(self.resamples))
+        object.__setattr__(self, "resamples", int(self.resamples))
+        if self.resamples < 2:
+            raise InsufficientResamplesError("pipelines need at least 2 resamples")
         object.__setattr__(self, "resample", Resample(self.resample))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        object.__setattr__(self, "filters", tuple(select_filter_specs(self.periods, self.narrow_factor)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,23 +108,18 @@ class MpcResult:
     mode: Mode
 
 
-def decompose(series: TimeSeries, periods, narrow_factor: float = 1.0) -> list[TimeSeries]:
-    """Split a series into one bandpass-filtered component per period.
+def _components(series: TimeSeries, specs) -> list[TimeSeries]:
+    """One component per spec: the filtered series, or the series itself for None (all-pass).
 
     Components keep the series' length and start (RENORMALIZE edges), so
     their phases stay aligned for the aggregation step.
     """
-    return _components(series, select_filter_specs(periods, narrow_factor))
-
-
-def _components(series: TimeSeries, specs) -> list[TimeSeries]:
-    """One component per spec: the filtered series, or the series itself for None (all-pass)."""
     return [series if spec is None else reconstruct_component(kzft_apply(series, spec))
             for spec in specs]
 
 
 def _check_grand_mean(series: TimeSeries) -> None:
-    # Callers have checked n >= max(periods) >= 2, so the ddof=1 std is defined.
+    # mode_filters has checked n >= 2 * max(periods) >= 4, so the ddof=1 std is defined.
     se = float(np.std(series.values, ddof=1)) / math.sqrt(series.n)
     if abs(float(series.values.mean())) > 3.0 * se:
         warnings.warn(
@@ -137,22 +131,34 @@ def _check_grand_mean(series: TimeSeries) -> None:
         )
 
 
-def _series_cycle(periods, n: int) -> int:
-    """Block period L = lcm(periods) of whole-series resampling; needs 2 * L <= n."""
-    cycle = math.lcm(*periods)
-    if 2 * cycle > n:
+def mode_filters(cfg: PipelineConfig, n: int, modes) -> dict:
+    """Each mode's filter per period (None = all-pass for PBB) on a length-n series.
+
+    Holds every rule that ties the series length to a config: every phase of
+    every period draws from at least two values (2 * max(periods) <= n), the
+    whole-series draws of Resample.SERIES cover two cycles of lcm(periods),
+    and each VMBPBB filter window fits inside the series.
+    """
+    longest = max(cfg.periods)
+    if 2 * longest > n:
+        raise InvalidPeriodError(
+            f"period {longest} needs two cycles, {2 * longest} samples, but the series has {n}"
+        )
+    cycle = math.lcm(*cfg.periods)
+    if cfg.resample is Resample.SERIES and 2 * cycle > n:
         raise InvalidPeriodError(
             f"whole-series resampling needs two cycles of lcm(periods) = {cycle}, "
             f"but the series has {n} samples"
         )
-    return cycle
-
-
-def _mode_specs(mode: Mode, cfg: PipelineConfig) -> list:
-    """Each period's filter under a mode: the designed KZFT, or None (all-pass) for PBB."""
-    if mode is Mode.VMBPBB:
-        return select_filter_specs(cfg.periods, cfg.narrow_factor)
-    return [None] * len(cfg.periods)
+    if Mode.VMBPBB in modes:
+        for p, spec in zip(cfg.periods, cfg.filters):
+            if spec.support > n:
+                raise InvalidFilterError(
+                    f"the period-{p} filter window m={spec.m} (k={spec.k}) spans {spec.support} "
+                    f"samples, more than n={n}"
+                )
+    return {mode: cfg.filters if mode is Mode.VMBPBB else (None,) * len(cfg.periods)
+            for mode in modes}
 
 
 def _component_estimates(comps: dict, cfg: PipelineConfig) -> dict:
@@ -179,7 +185,7 @@ def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> d
     L = lcm(periods) and rng_b = cfg.seed.child(0, b).generator(). Each draw
     is made once and filtered by every mode.
     """
-    cycle = _series_cycle(cfg.periods, series.n)
+    cycle = math.lcm(*cfg.periods)
     estimates = {mode: {p: np.empty((cfg.resamples, p)) for p in cfg.periods} for mode in specs}
     draws = resample_indices(series.n, cycle, cfg.resamples, cfg.seed.child(_SERIES_STREAM))
     for b, index in enumerate(draws):
@@ -199,11 +205,9 @@ def _tiled_band(band: CIBand, index: np.ndarray) -> CIBand:
 def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
     """Run the pipeline of every mode in modes on one series with shared draws."""
     n = series.n
-    if max(cfg.periods) > n:
-        raise InvalidPeriodError(f"period {max(cfg.periods)} exceeds series length {n}")
+    specs = mode_filters(cfg, n, modes)
     _check_grand_mean(series)
 
-    specs = {mode: _mode_specs(mode, cfg) for mode in modes}
     comps = {mode: _components(series, specs[mode]) for mode in modes}
     if cfg.resample is Resample.SERIES:
         estimates = _series_estimates(series, specs, cfg)
@@ -244,11 +248,11 @@ def run_pipeline(series: TimeSeries, cfg: PipelineConfig) -> MpcResult:
     bootstrapped at block period p on the sub-stream keyed by p. Under
     Resample.SERIES, every resample b draws the input series once at
     lcm(periods) on sub-stream seed.child(0, b) and filters that draw per
-    component; this needs 2 * lcm(periods) <= n. Either way, the
-    per-component band is the cyclic extension of the per-phase quantile band;
-    per resample b, the aggregate trajectory sums the component phase means
-    cyclically, and the aggregate band, point included, comes from those B
-    trajectories.
+    component. Either way, the per-component band is the cyclic extension of
+    the per-phase quantile band; per resample b, the aggregate trajectory sums
+    the component phase means cyclically, and the aggregate band, point
+    included, comes from those B trajectories. The series length must meet
+    the rules of mode_filters.
     """
     return _run_modes(series, cfg, (cfg.mode,))[cfg.mode]
 

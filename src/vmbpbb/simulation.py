@@ -18,15 +18,8 @@ import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
 from .csvio import csv_reader
-from .errors import (
-    CsvFormatError,
-    DegenerateBandError,
-    InvalidFilterError,
-    InvalidPeriodError,
-    UndefinedCorrelationError,
-)
-from .filters import select_filter_specs
-from .pipeline import Mode, PipelineConfig, Resample, _series_cycle, run_paired, validate_resamples
+from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
+from .pipeline import Mode, PipelineConfig, Resample, mode_filters, run_paired
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .pipeline import run_pipeline  # noqa: F401
 from .series import TimeSeries, validate_periods
@@ -46,9 +39,9 @@ class ScenarioConfig:
 
     resample is passed to both pipelines of every repetition (see
     pipeline.Resample): COMPONENTS, the default, is the paper's construction;
-    SERIES resamples the whole simulated series at lcm(p1, p2) and needs
-    n >= 2 * lcm(p1, p2); a shorter n raises InvalidPeriodError here. A
-    designed filter window wider than n raises InvalidFilterError here.
+    SERIES resamples the whole simulated series at lcm(p1, p2). Both modes'
+    pipelines are checked against n here (pipeline.mode_filters), and an
+    error from that check names the cell.
     """
 
     p1: int
@@ -62,29 +55,28 @@ class ScenarioConfig:
     resample: Resample = Resample.COMPONENTS
 
     def __post_init__(self):
-        p1, p2 = validate_periods((self.p1, self.p2))
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "resamples", validate_resamples(self.resamples))
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "snr", (float(self.snr[0]), float(self.snr[1])))
-        object.__setattr__(self, "resample", Resample(self.resample))
-        if self.n < 2 * max(self.p1, self.p2):
-            raise ValueError("series length must cover at least two cycles of the longest period")
-        if self.resample is Resample.SERIES:
-            _series_cycle((self.p1, self.p2), self.n)
         signal, noise = self.snr
         if signal <= 0.0 or noise < 0.0:
             raise ValueError("snr parts must be positive (noise part may be 0 for noiseless tests)")
         if self.reps < 1:
             raise ValueError("need at least one repetition")
-        for p, spec in zip((p1, p2), select_filter_specs((p1, p2), self.narrow_factor)):
-            if spec.support > self.n:
-                raise InvalidFilterError(
-                    f"cell ({p1}, {p2}) at snr {signal:g}:{noise:g}: the period-{p} filter window "
-                    f"m={spec.m} (k={spec.k}) spans {spec.support} samples, more than n={self.n}"
-                )
+        try:
+            mode_filters(self.pipeline(self.seed), self.n, tuple(Mode))
+        except ValueError as exc:
+            raise type(exc)(f"cell ({self.p1}, {self.p2}) at snr {signal:g}:{noise:g}: {exc}") from None
+
+    def pipeline(self, seed: SeedSpec) -> PipelineConfig:
+        """The config both pipelines of a repetition run under, drawing from seed."""
+        return PipelineConfig(
+            periods=(self.p1, self.p2),
+            resamples=self.resamples,
+            seed=seed,
+            narrow_factor=self.narrow_factor,
+            resample=self.resample,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +185,7 @@ def outside_fraction(band: CIBand, truth: TimeSeries) -> float:
 def _run_repetition(cfg: ScenarioConfig, rep: int) -> RepRecord:
     rep_seed = cfg.seed.child(rep)
     series, truth = generate_mpc(cfg, rep_seed.child(_NOISE_STREAM).generator())
-    pipe_cfg = PipelineConfig(
-        periods=(cfg.p1, cfg.p2),
-        resamples=cfg.resamples,
-        seed=rep_seed.child(_BOOT_STREAM),
-        narrow_factor=cfg.narrow_factor,
-        resample=cfg.resample,
-    )
-    results = run_paired(series, pipe_cfg)
+    results = run_paired(series, cfg.pipeline(rep_seed.child(_BOOT_STREAM)))
     pbb, vm = results[Mode.PBB], results[Mode.VMBPBB]
     return RepRecord(
         rep=rep,

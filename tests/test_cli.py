@@ -124,6 +124,20 @@ class TestFilterCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("narrow_factor", ["inf", "nan"])
+    def test_unbounded_narrow_factor_is_config_error(self, runner, tmp_path, narrow_factor):
+        src = tmp_path / "input.csv"
+        two_sine_csv(src, n=300)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["filter", str(src), "--periods", "50,100",
+                                      "--narrow-factor", narrow_factor, "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config: narrow_factor")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_byte_identical_reruns(self, runner, tmp_path):
         src = tmp_path / "input.csv"
@@ -186,6 +200,38 @@ class TestRunCommand:
         )
         assert result.exit_code == 2
         assert "error:config:" in result.output
+
+    # On 100 samples: the (24, 25) windows have m = 1201, two cycles of 60 need
+    # 120 samples, and PBB designs (and so checks) VMBPBB's filters too.
+    @pytest.mark.parametrize("extra", [
+        ["--periods", "24,25"],
+        ["--periods", "60"],
+        ["--periods", "60", "--mode", "pbb"],
+        ["--periods", "10", "--mode", "pbb", "--narrow-factor", "0.5"],
+        ["--periods", "10", "--narrow-factor", "inf"],
+        ["--periods", "10", "--narrow-factor", "nan"],
+    ], ids=["window-wider-than-series", "one-cycle", "one-cycle-pbb", "narrow-factor-below-one-pbb",
+            "narrow-factor-inf", "narrow-factor-nan"])
+    def test_series_too_short_for_config_is_config_error(self, runner, tmp_path, extra):
+        src = tmp_path / "input.csv"
+        write_series(src, np.random.default_rng(0).normal(size=100))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["run", str(src), *extra, "--seed", "1", "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_pbb_runs_where_the_vmbpbb_window_does_not_fit(self, runner, tmp_path):
+        src = tmp_path / "input.csv"
+        values = np.random.default_rng(0).normal(size=100)
+        write_series(src, values - values.mean())
+        out = tmp_path / "pbb"
+        result = runner.invoke(main, ["run", str(src), "--periods", "24,25", "--mode", "pbb",
+                                      "--seed", "1", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "aggregate.csv").exists()
 
     def test_resample_series_runs_library_band_and_is_recorded(self, runner, tmp_path):
         src = tmp_path / "input.csv"
@@ -338,6 +384,21 @@ class TestSimulateAndReport:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error:config:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_unbounded_narrow_factor_is_config_error(self, runner, tmp_path):
+        config = tmp_path / "grid.json"
+        # 1e308 * 2 / d overflows; at SNR 1:10 no cell is auto-narrowed to 2.
+        config.write_text(json.dumps({
+            "periods": [10, 25], "snrs": [[1, 10]], "n": 100, "resamples": 4, "reps": 1, "seed": 3,
+            "narrow_factor": 1e308,
+        }))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["simulate", "--config", str(config), "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config: cell (10, 25)")
         assert len(result.stderr.splitlines()) == 1
         assert not out.exists()
 

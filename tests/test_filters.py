@@ -63,7 +63,7 @@ class TestCoefficients:
         oracle = np.array(convolution_oracle(5, 3)) / 125.0
         np.testing.assert_array_equal(kz_coefficients(5, 3), oracle)
 
-    # (21, 15) and (3, 40) have m**k >= 2**62, so they take the Python-int path.
+    # (21, 15) and (3, 40) have m**k > 2**63, beyond int64.
     @pytest.mark.parametrize("m,k", [(21, 15), (3, 40)])
     def test_python_int_path_matches_oracle_exactly(self, m, k):
         assert _integer_coefficients(m, k).dtype == object
@@ -325,5 +325,6 @@ class TestSelectFilterSpecs:
             select_filter_specs([10, 10])
         with pytest.raises(InvalidPeriodError):
             select_filter_specs([1, 10])
-        with pytest.raises(InvalidFilterError):
-            select_filter_specs([10, 25], narrow_factor=0.5)
+        for narrow_factor in (0.5, float("nan"), float("inf"), 1e308):
+            with pytest.raises(InvalidFilterError):
+                select_filter_specs([10, 25], narrow_factor=narrow_factor)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from vmbpbb import (
     TimeSeries,
     bootstrap_periodic_means,
     ci_band,
-    decompose,
     energy_transfer,
     kzft_apply,
     pbb_resample,
@@ -21,7 +22,13 @@ from vmbpbb import (
     run_scenario_detail,
     select_filter_specs,
 )
-from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
+from vmbpbb import pipeline
+from vmbpbb.errors import InsufficientResamplesError, InvalidFilterError, InvalidPeriodError
+
+
+def decompose(series, periods):
+    """One designed bandpass component per period, as the VMBPBB pipeline filters them."""
+    return [reconstruct_component(kzft_apply(series, spec)) for spec in select_filter_specs(periods)]
 
 
 def two_sine(n=1000, p1=50, p2=100):
@@ -45,6 +52,35 @@ class TestPipelineConfig:
     def test_rejects_unknown_resample(self):
         with pytest.raises(ValueError):
             PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0), resample="blocks")
+
+    def test_filters_designed_once_per_config(self, monkeypatch):
+        calls = []
+        design = pipeline.select_filter_specs
+        monkeypatch.setattr(pipeline, "select_filter_specs", lambda *args: calls.append(args) or design(*args))
+        cfg = PipelineConfig(periods=(10, 25), resamples=4, seed=SeedSpec(0))
+        values = np.random.default_rng(0).normal(size=200)
+        series = TimeSeries(values - values.mean())
+        run_pipeline(series, cfg)
+        run_paired(series, cfg)
+        assert len(calls) == 1
+        assert cfg.filters == tuple(select_filter_specs((10, 25)))
+        with pytest.raises(TypeError):
+            PipelineConfig(periods=(10, 25), resamples=4, seed=SeedSpec(0), filters=())
+
+    def test_pbb_config_checks_narrow_factor(self):
+        with pytest.raises(InvalidFilterError):
+            PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0), mode=Mode.PBB, narrow_factor=0.5)
+
+    def test_window_rule_applies_to_vmbpbb_runs_only(self):
+        values = np.random.default_rng(0).normal(size=100)
+        series = TimeSeries(values - values.mean())
+        # The (24, 25) windows have m = 1201.
+        cfg = PipelineConfig(periods=(24, 25), resamples=4, seed=SeedSpec(0), mode=Mode.PBB)
+        run_pipeline(series, cfg)
+        with pytest.raises(InvalidFilterError, match="m=1201"):
+            run_pipeline(series, replace(cfg, mode=Mode.VMBPBB))
+        with pytest.raises(InvalidFilterError, match="m=1201"):
+            run_paired(series, cfg)
 
 
 class TestDecompose:
@@ -255,10 +291,11 @@ class TestSeriesResample:
 
     def test_rejects_fewer_than_two_lcm_cycles(self):
         rng = np.random.default_rng(2)
-        cfg = PipelineConfig(periods=(4, 6), resamples=4, seed=SeedSpec(0), resample=Resample.SERIES)
+        # lcm(30, 50) = 150; the (30, 50) windows, m = 151, fit both lengths.
+        cfg = PipelineConfig(periods=(30, 50), resamples=4, seed=SeedSpec(0), resample=Resample.SERIES)
         with pytest.raises(InvalidPeriodError):
-            run_pipeline(TimeSeries(rng.normal(size=23)), cfg)
-        run_pipeline(TimeSeries(rng.normal(size=24)), cfg)
+            run_pipeline(TimeSeries(rng.normal(size=299)), cfg)
+        run_pipeline(TimeSeries(rng.normal(size=300)), cfg)
         # n = 200 covers two cycles of each period but not of lcm(30, 50) = 150.
         # (The (50, 75) window, m = 301, would not fit n = 300.)
         with pytest.raises(InvalidPeriodError):

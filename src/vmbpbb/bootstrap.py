@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InsufficientResamplesError
 from .series import TimeSeries, _frozen_array, _validate_period
@@ -25,7 +26,9 @@ class SeedSpec:
     Distinct label tuples yield statistically independent streams. Streams are
     derived with numpy's SeedSequence (master_seed as entropy, labels as the
     spawn key) feeding a PCG64 generator, so results never depend on thread
-    scheduling or execution order.
+    scheduling or execution order. A run of sibling streams seed.child(b),
+    b = 0, 1, ..., has its seeds derived together by child_states, bit for bit
+    the ones SeedSequence.spawn would give.
     """
 
     master_seed: int
@@ -47,6 +50,97 @@ class SeedSpec:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.labels)
         return np.random.Generator(np.random.PCG64(seq))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on its default
+# pool of four 32-bit words. The constants are numpy's own; PCG64 streams are
+# seeded from this hash, so any difference would change every output byte.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# Each resample's index is one 32-bit word of its spawn key (see child_states).
+MAX_RESAMPLES = 2**32 - 1
+
+
+def _words(value: int) -> list:
+    """The little-endian 32-bit words SeedSequence splits an integer into (0 is one word)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+# The hash steps take masked Python ints or uint32 arrays (which wrap by
+# themselves, where numpy's uint32 scalars would warn on overflow).
+def _hashmix(value, const: int):
+    """SeedSequence's hashmix of value under hash constant const; returns (hash, next const)."""
+    following = const * _MULT_A & _MASK32
+    value = (value ^ const) * following & _MASK32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    result = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def child_states(seed: SeedSpec, children: np.ndarray) -> np.ndarray:
+    """The PCG64 seeds of the sub-streams seed.child(b) for b in children, one row each.
+
+    Each b in children is below 2**32, so it is one 32-bit word of the spawn
+    key. Row i of the (children.size, 4) uint64 result equals
+    SeedSequence(seed.master_seed, spawn_key=seed.labels + (b,))
+    .generate_state(4, np.uint64) with b = children[i]: the state that the
+    b-th child of SeedSequence.spawn hands PCG64. The entropy words before b
+    are the same in every row, so they are mixed into the pool once, in
+    Python ints; only b's word and the state output run over the whole batch.
+    """
+    children = np.asarray(children, dtype=np.uint32)
+    run = _words(seed.master_seed)
+    # A spawn key is present (b), so SeedSequence pads the run entropy to the pool.
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + [w for label in seed.labels for w in _words(label)]
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL_SIZE:] + [children]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    const = _INIT_B
+    state = np.empty((children.size, 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ value >> 16
+    # Word pairs join low half first, as generate_state's little-endian view does.
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _ChildSeed(ISeedSequence):
+    """One row of child_states, served to PCG64 as the seed sequence it came from."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise ValueError("a child seed holds only the four 64-bit words PCG64 takes")
+        return self.state
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +185,7 @@ def _phase_layout(n: int, p: int):
 def _index_sampler(n: int, p: int):
     """The resample index draw of a length-n series at period p.
 
-    draw(seq) gives one resample's source indices from the SeedSequence seq,
+    draw(seq) gives one resample's source indices from the seed sequence seq,
     slot t drawing uniformly from the subset of phase t mod p. It equals, bit
     for bit,
 
@@ -160,15 +254,19 @@ def resample_indices(n: int, p: int, resamples: int, seed: SeedSpec):
     with rng = seed.child(b).generator(): the bits of
     Generator(PCG64(seq_b)).integers(0, counts[phases], size=n), with seq_b
     the b-th SeedSequence that root.spawn(resamples) makes from
-    SeedSequence(seed.master_seed, spawn_key=seed.labels). They are drawn
-    from the raw PCG64 words without a Generator (see _index_sampler).
+    SeedSequence(seed.master_seed, spawn_key=seed.labels). All resamples'
+    PCG64 seeds are derived in one vectorised step (child_states), and the
+    indices are drawn from the raw PCG64 words without a Generator (see
+    _index_sampler). resamples must lie in 1..MAX_RESAMPLES.
     """
     resamples = int(resamples)
     if resamples < 1:
         raise InsufficientResamplesError("need at least one resample")
+    if resamples > MAX_RESAMPLES:
+        raise ValueError(f"at most {MAX_RESAMPLES} resamples, got {resamples}")
     draw = _index_sampler(n, _validate_period(p, n))
-    root = np.random.SeedSequence(seed.master_seed, spawn_key=seed.labels)
-    return map(draw, root.spawn(resamples))
+    states = child_states(seed, np.arange(resamples, dtype=np.uint32))
+    return map(draw, map(_ChildSeed, states))
 
 
 def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:

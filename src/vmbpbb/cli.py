@@ -27,7 +27,15 @@ from .csvio import (
     write_rows_csv,
 )
 from .errors import ConfigError, CsvFormatError
-from .filters import EdgePolicy, FilterSpec, energy_transfer, kzft_apply, reconstruct_component, select_filter_specs
+from .filters import (
+    EdgePolicy,
+    FilterSpec,
+    check_window_fits,
+    energy_transfer,
+    kzft_apply,
+    reconstruct_component,
+    select_filter_specs,
+)
 from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
 from .simulation import REPS_HEADER, read_rep_log, rep_columns, run_grid
 
@@ -132,6 +140,9 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     else:
         specs = [_parse_spec(text) for text in spec_texts]
         names = [f"m{s.m}_k{s.k}_nu{s.nu:g}" for s in specs]
+    if edge_policy is EdgePolicy.RENORMALIZE:
+        for spec, name in zip(specs, names):
+            check_window_fits(spec, series.n, f"filter {name}")
     components = [reconstruct_component(kzft_apply(series, s, edge_policy)) for s in specs]
 
     # Under TRUNCATE components may cover different time ranges; keep the overlap.

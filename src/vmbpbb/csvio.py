@@ -9,8 +9,11 @@ round-trips double precision exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import os
+import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -138,6 +141,22 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def _environment() -> tuple:
+    """The (key, value) pairs of the host a process runs on; read once per process.
+
+    The draws' bits rest on numpy's PCG64 seeding and the floats on numpy's
+    and the platform's arithmetic, so a byte difference between two runs can
+    be traced to a difference here.
+    """
+    return (
+        ("cpu_count", os.cpu_count()),
+        ("numpy", np.__version__),
+        ("platform", platform.platform()),
+        ("python", platform.python_version()),
+    )
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a command's outputs byte for byte."""
@@ -150,6 +169,7 @@ class RunManifest:
     tool: str = TOOL_NAME
     version: str = __version__
     created_utc: str = ""
+    environment: dict = field(default_factory=lambda: dict(_environment()))
 
     def __post_init__(self):
         if not self.created_utc:

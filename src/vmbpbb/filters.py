@@ -159,6 +159,18 @@ def _apply_kernel(x: np.ndarray, m: int, k: int, kernel: np.ndarray, edge: EdgeP
     return full[h : h + n] / _tap_mass(m, k, n), 0
 
 
+def check_window_fits(spec: FilterSpec, n: int, name: str) -> None:
+    """Raise InvalidFilterError if spec's window spans more than n samples; name labels the filter.
+
+    Under RENORMALIZE edges such a window overhangs the series at every
+    output point, so no point is filtered by the designed window.
+    """
+    if spec.support > n:
+        raise InvalidFilterError(
+            f"{name} window m={spec.m} (k={spec.k}) spans {spec.support} samples, more than n={n}"
+        )
+
+
 def kzft_apply(series, spec: FilterSpec, edge: EdgePolicy = EdgePolicy.RENORMALIZE) -> ComplexSeries:
     """Apply the bandpass filter: sum_u w(u) * exp(-i*2*pi*nu*u) * X(t+u).
 

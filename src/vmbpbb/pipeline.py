@@ -21,8 +21,8 @@ import numpy as np
 from .bootstrap import CIBand, SeedSpec, bootstrap_phase_means, ci_band, resample_indices
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .bootstrap import bootstrap_periodic_means  # noqa: F401
-from .errors import InsufficientResamplesError, InvalidFilterError, InvalidPeriodError
-from .filters import FilterSpec, kzft_apply, reconstruct_component, select_filter_specs
+from .errors import InsufficientResamplesError, InvalidPeriodError
+from .filters import FilterSpec, check_window_fits, kzft_apply, reconstruct_component, select_filter_specs
 from .series import TimeSeries, periodic_mean, validate_periods
 
 # Stream label of the whole-series draws under the pipeline seed. Periods are
@@ -152,11 +152,7 @@ def mode_filters(cfg: PipelineConfig, n: int, modes) -> dict:
         )
     if Mode.VMBPBB in modes:
         for p, spec in zip(cfg.periods, cfg.filters):
-            if spec.support > n:
-                raise InvalidFilterError(
-                    f"the period-{p} filter window m={spec.m} (k={spec.k}) spans {spec.support} "
-                    f"samples, more than n={n}"
-                )
+            check_window_fits(spec, n, f"the period-{p} filter")
     return {mode: cfg.filters if mode is Mode.VMBPBB else (None,) * len(cfg.periods)
             for mode in modes}
 
@@ -186,8 +182,8 @@ def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> d
     is made once and filtered by every mode.
     """
     cycle = math.lcm(*cfg.periods)
-    estimates = {mode: {p: np.empty((cfg.resamples, p)) for p in cfg.periods} for mode in specs}
     draws = resample_indices(series.n, cycle, cfg.resamples, cfg.seed.child(_SERIES_STREAM))
+    estimates = {mode: {p: np.empty((cfg.resamples, p)) for p in cfg.periods} for mode in specs}
     for b, index in enumerate(draws):
         draw = TimeSeries(series.values[index], series.start_index)
         for mode, mode_specs in specs.items():

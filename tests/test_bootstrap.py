@@ -1,9 +1,10 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmbpbb import (
@@ -13,7 +14,7 @@ from vmbpbb import (
     ci_band,
     pbb_resample,
 )
-from vmbpbb.bootstrap import bootstrap_phase_means, resample_indices
+from vmbpbb.bootstrap import bootstrap_phase_means, child_states, resample_indices
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
 from vmbpbb.series import _frozen_array, _validate_period
 
@@ -194,6 +195,53 @@ class TestResampleIndicesDraw:
         rejected = np.flatnonzero((words * bound) % 2**32 < 2**32 % bound)
         assert rejected.tolist() == [1725]
         self.assert_rows_equal_numpy(n, p, 1, seed)
+
+
+def seed_sequence_states(master: int, labels: tuple, children) -> np.ndarray:
+    """Reference oracle: the state numpy's own SeedSequence hands PCG64 for each child b."""
+    rows = [np.random.SeedSequence(master, spawn_key=labels + (int(b),)).generate_state(4, np.uint64)
+            for b in children]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), 4)
+
+
+# Integers below 2**32 take one spawn-key word, larger ones several.
+words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128))
+
+
+class TestChildStates:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        master=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        labels=st.lists(words, max_size=4).map(tuple),
+        children=st.lists(st.one_of(st.integers(0, 500), st.integers(2**32 - 500, 2**32 - 1)),
+                          min_size=1, max_size=6),
+    )
+    @example(master=0, labels=(), children=[0, 1, 2**32 - 1])
+    @example(master=2**32, labels=(2**32,), children=[2**32 - 2])
+    @example(master=2**64 - 1, labels=(2**64 - 1, 0, 5), children=[0, 2**32 - 1])
+    def test_states_equal_seed_sequence(self, master, labels, children):
+        got = child_states(SeedSpec(master, labels), np.array(children, dtype=np.uint32))
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, seed_sequence_states(master, labels, children))
+
+    def test_draws_make_no_seed_sequence_per_row(self, monkeypatch):
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("SeedSequence.spawn called")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        stack = np.arange(3 * 8760.0).reshape(3, 8760)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # SeedSpec(430) at p = 2 draws a rejected word in row 0, so the
+            # Generator fallback runs too (see the rejected-word test above).
+            rows = bootstrap_phase_means(stack, 2, 3, SeedSpec(430))
+            bootstrap_phase_means(stack[:, :1000], 50, 40, SeedSpec(7, (2**40, 3)))
+        assert rows.shape == (3, 3, 2)
+
+    def test_resamples_must_fit_32_bits(self):
+        with pytest.raises(ValueError, match="4294967296"):
+            resample_indices(10, 2, 2**32, SeedSpec(0))
 
 
 class TestBootstrapPeriodicMeans:

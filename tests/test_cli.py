@@ -111,6 +111,23 @@ class TestFilterCommand:
         assert result.exit_code == 2
         assert "error:config:" in result.output
 
+    @pytest.mark.parametrize("args,window", [
+        (["--periods", "24,25"], "m=1201"),
+        (["--periods", "60"], "m=121"),
+        (["--spec", "m=201,k=1,nu=0.02"], "m=201"),
+    ])
+    def test_window_wider_than_series_is_config_error(self, runner, tmp_path, args, window):
+        src = tmp_path / "input.csv"
+        two_sine_csv(src, n=100)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["filter", str(src), *args, "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config:")
+        assert window in result.stderr and "n=100" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_spec_beyond_float_range_is_config_error(self, runner, tmp_path):
         # 3**700 overflows a float, so the weights 1/m**k cannot be formed.
         src = tmp_path / "input.csv"
@@ -151,6 +168,21 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["master_seed"] == 11
         assert manifest["command"] == "run"
+
+    @pytest.mark.parametrize("resample", ["components", "series"])
+    def test_resamples_beyond_32_bits_is_config_error(self, runner, tmp_path, resample):
+        # Fails on the resample count before any stream or estimate array is built.
+        src = tmp_path / "input.csv"
+        two_sine_csv(src, n=400)
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["run", str(src), "--periods", "50,100", "-B", "4294967296",
+                                      "--resample", resample, "--seed", "1", "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:config:")
+        assert "4294967296" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
 
     def test_pbb_band_visibly_wider(self, runner, tmp_path):
         src = tmp_path / "input.csv"

@@ -8,6 +8,8 @@ from the row-wise `csv.writer` implementation of `write_rows_csv`.
 
 import hashlib
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -132,3 +134,23 @@ def produce(case, tmp_path):
 def test_cli_csv_bytes_pinned(case, tmp_path):
     out = produce(case, tmp_path)
     assert file_digests(out, DIGESTS[case]) == DIGESTS[case]
+
+
+MANIFEST_KEYS = {"command", "config", "created_utc", "environment", "inputs", "master_seed", "outputs",
+                 "tool", "version"}
+
+
+@pytest.mark.parametrize("case", ["filter_periods", "run_vmbpbb", "transfer", "simulate", "report"])
+def test_manifest_records_environment(case, tmp_path):
+    # The block only adds keys: the CSVs keep their pinned bytes.
+    out = produce(case, tmp_path)
+    assert file_digests(out, DIGESTS[case]) == DIGESTS[case]
+    (path,) = out.glob("*manifest.json")
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["environment"] == {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }

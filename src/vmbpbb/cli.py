@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -161,6 +160,7 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
             "narrow_factor": narrow_factor,
             "columns": names,
         },
+        [Path(output_path).name],
         input_paths=[input_csv],
     )
     write_manifest(Path(str(output_path) + ".manifest.json"), manifest)
@@ -210,28 +210,16 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
             "narrow_factor": narrow_factor,
             "resample": resample,
         },
+        [name for name, _ in bands],
         master_seed=seed,
         input_paths=[input_csv],
     )
-    manifest.outputs = [name for name, _ in bands]
     write_manifest(outdir / "manifest.json", manifest)
 
 
-_SCALE_DEFAULTS = {"desk": (200, 50), "paper": (1000, 1000)}
-
-
-@dataclass(frozen=True)
-class _GridConfig:
-    """A checked grid config; periods and snrs keep the numbers the file gave."""
-
-    periods: tuple
-    snrs: tuple
-    seed: int
-    resamples: int
-    reps: int
-    n: int = 1000
-    narrow_factor: float = 1.0
-    paper_faithful: bool = True
+_SCALE_DEFAULTS = {"desk": {"resamples": 200, "reps": 50}, "paper": {"resamples": 1000, "reps": 1000}}
+# The defaults of the other keys a grid config may leave out.
+_GRID_DEFAULTS = {"n": 1000, "narrow_factor": 1.0, "paper_faithful": True}
 
 
 def _integer(key, value):
@@ -277,8 +265,12 @@ _GRID_FIELDS = {
 }
 
 
-def _load_grid_config(path, scale: str, seed, paper_faithful) -> _GridConfig:
-    """Read and check a grid config; --seed and --paper-faithful override its values."""
+def _load_grid_config(path, scale: str, seed, paper_faithful) -> dict:
+    """Read and check a grid config into run_grid's keyword arguments, seed as an int.
+
+    Defaults are filled in, periods and snrs keep the numbers the file gave,
+    and --seed and --paper-faithful override the file's values.
+    """
     try:
         with Path(path).open() as fh:
             raw = json.load(fh)
@@ -291,7 +283,7 @@ def _load_grid_config(path, scale: str, seed, paper_faithful) -> _GridConfig:
         raise ConfigError(f"unknown grid config keys: {sorted(unknown)}")
     if "periods" not in raw or "snrs" not in raw:
         raise ConfigError("grid config needs 'periods' and 'snrs'")
-    values = dict(zip(("resamples", "reps"), _SCALE_DEFAULTS[scale]))
+    values = {**_GRID_DEFAULTS, **_SCALE_DEFAULTS[scale]}
     values.update((key, _GRID_FIELDS[key](key, value)) for key, value in raw.items())
     if seed is not None:
         values["seed"] = seed
@@ -299,7 +291,7 @@ def _load_grid_config(path, scale: str, seed, paper_faithful) -> _GridConfig:
         values["paper_faithful"] = paper_faithful
     if "seed" not in values:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
-    return _GridConfig(**values)
+    return values
 
 
 def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
@@ -365,7 +357,8 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
 @click.option("--scale", type=click.Choice(["desk", "paper"]), default="desk", show_default=True,
               help="Default resamples/reps when the config does not pin them.")
 @click.option("--seed", type=int, default=None, help="Overrides the config seed.")
-@click.option("--threads", default=None, help="Worker processes (default $VMBPBB_THREADS or 1).")
+@click.option("--threads", default=None,
+              help="Worker processes, at most one per repetition (default $VMBPBB_THREADS or 1).")
 @click.option("--paper-faithful/--no-paper-faithful", default=None,
               help="Doubled window for the {10,25} pairs at noise ratios 2 and 5.")
 @_RESAMPLE_OPTION
@@ -377,44 +370,17 @@ def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, ou
     grid = _load_grid_config(config_path, scale, seed, paper_faithful)
     if scale == "paper":
         click.echo(
-            f"warning: paper scale runs {grid.resamples} resamples x {grid.reps} repetitions "
+            f"warning: paper scale runs {grid['resamples']} resamples x {grid['reps']} repetitions "
             "per cell and may take hours; proceeding",
             err=True,
         )
-    cells = run_grid(
-        grid.periods,
-        grid.snrs,
-        n=grid.n,
-        resamples=grid.resamples,
-        reps=grid.reps,
-        seed=SeedSpec(grid.seed),
-        narrow_factor=grid.narrow_factor,
-        paper_faithful=grid.paper_faithful,
-        threads=threads,
-        resample=Resample(resample),
-    )
+    cells = run_grid(**dict(grid, seed=SeedSpec(grid["seed"])), threads=threads, resample=Resample(resample))
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = _write_grid_outputs(outdir, cells)
-    manifest = manifest_for(
-        "simulate",
-        {
-            "config": str(config_path),
-            "scale": scale,
-            "periods": list(grid.periods),
-            "snrs": [list(s) for s in grid.snrs],
-            "n": grid.n,
-            "resamples": grid.resamples,
-            "reps": grid.reps,
-            "narrow_factor": grid.narrow_factor,
-            "paper_faithful": grid.paper_faithful,
-            "resample": resample,
-            "threads": threads,
-        },
-        master_seed=grid.seed,
-        input_paths=[config_path],
-    )
-    manifest.outputs = outputs
+    config = {"config": str(config_path), "scale": scale, "resample": resample, "threads": threads}
+    config.update((key, value) for key, value in grid.items() if key != "seed")
+    manifest = manifest_for("simulate", config, _write_grid_outputs(outdir, cells),
+                            master_seed=grid["seed"], input_paths=[config_path])
     write_manifest(outdir / "manifest.json", manifest)
 
 
@@ -445,6 +411,7 @@ def cmd_transfer(spec_texts, grid_text, output_path):
     manifest = manifest_for(
         "transfer",
         {"specs": [{"m": s.m, "k": s.k, "nu": s.nu} for s in specs], "grid": grid_text},
+        [Path(output_path).name],
     )
     write_manifest(Path(str(output_path) + ".manifest.json"), manifest)
 
@@ -459,8 +426,7 @@ def cmd_report(reps_csv, output_dir):
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = _write_grid_outputs(outdir, cells, write_reps=False)
-    manifest = manifest_for("report", {"input": str(reps_csv)}, input_paths=[reps_csv])
-    manifest.outputs = outputs
+    manifest = manifest_for("report", {"input": str(reps_csv)}, outputs, input_paths=[reps_csv])
     write_manifest(outdir / "manifest.json", manifest)
 
 

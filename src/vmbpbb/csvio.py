@@ -1,9 +1,13 @@
 """CSV input/output and run manifests for the command-line surface.
 
-Input series use a strict two-column format with header ``t,value``; the time
-column must be consecutive integers (unit spacing, no gaps). Input files are
-read as UTF-8. Floats are written with 17 significant digits so every file
-round-trips double precision exactly.
+Every input CSV, a ``t,value`` series or a ``reps.csv`` log, is read by one
+streaming reader, ``read_rows``: UTF-8 text, a header that matches after
+stripping spaces and folding case, the header's number of fields on every
+non-blank row, and at least one data row. A broken rule is a CsvFormatError
+naming the file and, where there is one, the line. In a series the time
+column must be consecutive integers (unit spacing, no gaps). Floats are
+written with 17 significant digits so every file round-trips double
+precision exactly. A manifest is a plain dict written as sorted JSON.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import hashlib
 import json
 import os
 import platform
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,51 +34,62 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-@contextmanager
-def csv_reader(path):
-    """A csv.reader over a UTF-8 file; bytes that do not decode are a CsvFormatError naming it."""
+def read_rows(path, header):
+    """Yield (line number, fields) for each non-blank data row of a CSV with this header.
+
+    header holds lowercase names; a file's header matches after strip().lower()
+    of each name. Rows are yielded as they are read, so a caller never holds
+    the whole file. The rules every input CSV shares raise CsvFormatError: text
+    that is not UTF-8, an empty file, another header, a row with another field
+    count, no data rows.
+    """
     path = Path(path)
+    found = False
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise CsvFormatError(f"{path.name}: empty input file")
+            if [c.strip().lower() for c in first] != header:
+                raise CsvFormatError(f"{path.name} line 1: expected header {','.join(header)!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
+                    )
+                found = True
+                yield lineno, row
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
+    if not found:
+        raise CsvFormatError(f"{path.name}: no data rows")
 
 
 def read_series_csv(path) -> TimeSeries:
     """Parse a t,value CSV into a TimeSeries; the first t becomes start_index."""
-    path = Path(path)
+    name = Path(path).name
     times = []
     values = []
-    with csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path.name}: empty input file")
-        if [c.strip().lower() for c in header] != ["t", "value"]:
-            raise CsvFormatError(f"{path.name} line 1: expected header 't,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(f"{path.name} line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                t = int(row[0])
-                v = float(row[1])
-            except ValueError as exc:
-                raise CsvFormatError(f"{path.name} line {lineno}: {exc}") from exc
-            if times and t != times[-1] + 1:
-                raise CsvFormatError(
-                    f"{path.name} line {lineno}: time column must be consecutive integers "
-                    f"(got {t} after {times[-1]})"
-                )
-            times.append(t)
-            values.append(v)
-    if not values:
-        raise CsvFormatError(f"{path.name}: no data rows")
+    for lineno, (t_text, v_text) in read_rows(path, ["t", "value"]):
+        try:
+            t = int(t_text)
+            v = float(v_text)
+        except ValueError as exc:
+            raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
+        if times and t != times[-1] + 1:
+            raise CsvFormatError(
+                f"{name} line {lineno}: time column must be consecutive integers "
+                f"(got {t} after {times[-1]})"
+            )
+        times.append(t)
+        values.append(v)
     try:
         return TimeSeries(values, start_index=times[0])
     except ValueError as exc:
-        raise CsvFormatError(f"{path.name}: {exc}") from exc
+        raise CsvFormatError(f"{name}: {exc}") from exc
 
 
 def _quoted(text: str) -> str:
@@ -157,33 +170,27 @@ def _environment() -> tuple:
     )
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a command's outputs byte for byte."""
+def manifest_for(command: str, config: dict, outputs, master_seed=None, input_paths=()) -> dict:
+    """Everything needed to reproduce a command's outputs byte for byte.
 
-    command: str
-    config: dict
-    master_seed: int | None = None
-    inputs: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    tool: str = TOOL_NAME
-    version: str = __version__
-    created_utc: str = ""
-    environment: dict = field(default_factory=lambda: dict(_environment()))
+    outputs names the files the command wrote, relative to the manifest.
+    """
+    return {
+        "command": command,
+        "config": config,
+        "master_seed": master_seed,
+        "inputs": {str(p): sha256_file(p) for p in input_paths},
+        "outputs": list(outputs),
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "environment": dict(_environment()),
+    }
 
-    def __post_init__(self):
-        if not self.created_utc:
-            self.created_utc = datetime.now(timezone.utc).isoformat()
 
-
-def write_manifest(path, manifest: RunManifest) -> Path:
+def write_manifest(path, manifest: dict) -> Path:
     path = Path(path)
     with path.open("w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def manifest_for(command: str, config: dict, master_seed=None, input_paths=()) -> RunManifest:
-    inputs = {str(p): sha256_file(p) for p in input_paths}
-    return RunManifest(command=command, config=config, master_seed=master_seed, inputs=inputs)

@@ -140,25 +140,6 @@ def _tap_mass(m: int, k: int, n: int) -> np.ndarray:
     return mass
 
 
-def _apply_kernel(x: np.ndarray, m: int, k: int, kernel: np.ndarray, edge: EdgePolicy):
-    """Correlate x with kernel(u), u = -h..h; returns (output, start_shift).
-
-    kernel carries the (m, k) coefficient table, possibly shifted to a complex
-    center frequency; edge renormalization divides by the table's own mass.
-    Output t of the full correlation sits at np.convolve index t + h.
-    """
-    n = x.size
-    h = (kernel.size - 1) // 2
-    full = np.convolve(x, kernel[::-1], mode="full")
-    if edge is EdgePolicy.TRUNCATE:
-        if n <= 2 * h:
-            raise SeriesTooShortError(
-                f"series of length {n} too short for full windows of width {2 * h + 1}"
-            )
-        return full[2 * h : n], h
-    return full[h : h + n] / _tap_mass(m, k, n), 0
-
-
 def check_window_fits(spec: FilterSpec, n: int, name: str) -> None:
     """Raise InvalidFilterError if spec's window spans more than n samples; name labels the filter.
 
@@ -176,11 +157,20 @@ def kzft_apply(series, spec: FilterSpec, edge: EdgePolicy = EdgePolicy.RENORMALI
 
     Accepts a TimeSeries or a ComplexSeries (the latter mainly for measuring
     the response to pure complex exponentials). With nu = 0 the kernel is real
-    and the output equals the KZ filter applied to the input.
+    and the output equals the KZ filter applied to the input. Edge
+    renormalization divides by the (m, k) table's own mass at each point.
     """
-    kernel = _kzft_kernel(spec.m, spec.k, spec.nu)
-    out, shift = _apply_kernel(series.values, spec.m, spec.k, kernel, edge)
-    return ComplexSeries(out, series.start_index + shift)
+    n = series.n
+    h = spec.half_width
+    # Output t of the full correlation sits at np.convolve index t + h.
+    full = np.convolve(series.values, _kzft_kernel(spec.m, spec.k, spec.nu)[::-1], mode="full")
+    if edge is EdgePolicy.TRUNCATE:
+        if n <= 2 * h:
+            raise SeriesTooShortError(
+                f"series of length {n} too short for full windows of width {2 * h + 1}"
+            )
+        return ComplexSeries(full[2 * h : n], series.start_index + h)
+    return ComplexSeries(full[h : h + n] / _tap_mass(spec.m, spec.k, n), series.start_index)
 
 
 def reconstruct_component(cs: ComplexSeries) -> TimeSeries:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
-from .csvio import csv_reader
+from .csvio import read_rows
 from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
 from .pipeline import Mode, PipelineConfig, Resample, mode_filters, run_paired
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
@@ -223,8 +223,10 @@ def run_scenario_detail(cfg: ScenarioConfig, threads: int = 1):
     whole-series draws, which each mode then filters its own way.
     """
     reps = range(cfg.reps)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # A pool forks all of its workers at once, so it gets no more than one per repetition.
+    workers = min(threads, cfg.reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_repetition, [cfg] * cfg.reps, reps))
     else:
         records = [_run_repetition(cfg, r) for r in reps]
@@ -307,25 +309,16 @@ def read_rep_log(path) -> list[GridCell]:
     """Rebuild the grid cells, metrics included, from a reps.csv log."""
     name = Path(path).name
     cells = {}
-    with csv_reader(path) as reader:
-        if next(reader, None) != REPS_HEADER:
-            raise CsvFormatError(f"{name} line 1: expected header {','.join(REPS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(REPS_HEADER):
-                raise CsvFormatError(f"{name} line {lineno}: expected {len(REPS_HEADER)} columns")
-            try:
-                key = ((float(row[0]), float(row[1])), int(row[2]), int(row[3]), float(row[4]))
-                rec = RepRecord(
-                    rep=int(row[5]), ci_ratio=float(row[6]), outside_pbb=float(row[7]),
-                    outside_vmbpbb=float(row[8]), r2_pbb=float(row[9]), r2_vmbpbb=float(row[10]),
-                )
-            except ValueError as exc:
-                raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
-            cells.setdefault(key, []).append(rec)
-    if not cells:
-        raise CsvFormatError(f"{name}: no data rows")
+    for lineno, row in read_rows(path, REPS_HEADER):
+        try:
+            key = ((float(row[0]), float(row[1])), int(row[2]), int(row[3]), float(row[4]))
+            rec = RepRecord(
+                rep=int(row[5]), ci_ratio=float(row[6]), outside_pbb=float(row[7]),
+                outside_vmbpbb=float(row[8]), r2_pbb=float(row[9]), r2_vmbpbb=float(row[10]),
+            )
+        except ValueError as exc:
+            raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
+        cells.setdefault(key, []).append(rec)
     return [
         GridCell(p1=p1, p2=p2, snr=snr, narrow_factor=nf,
                  metrics=_aggregate_records(records), records=tuple(records))

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import vmbpbb
 from vmbpbb import PipelineConfig, Resample, SeedSpec, run_grid, run_pipeline, simulation
 from vmbpbb.cli import main
-from vmbpbb.csvio import read_series_csv, write_rows_csv
+from vmbpbb.csvio import read_rows, read_series_csv, write_rows_csv
 from vmbpbb.errors import CsvFormatError
 
 
@@ -601,3 +601,46 @@ def test_non_utf8_input_is_data_error(runner, tmp_path, command, extra):
     assert result.stdout == ""
     assert result.stderr.startswith("error:data: latin1.csv: not UTF-8 text")
     assert len(result.stderr.splitlines()) == 1
+
+
+REPS_ROW = "1,2,10,25,1,0,1.5,0.1,0.2,90,95"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("snr,noise\n" + REPS_ROW + "\n", "reps.csv line 1: expected header"),
+    (",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW + "\n" + REPS_ROW.rsplit(",", 1)[0] + "\n",
+     "reps.csv line 3: expected 11 columns, got 10"),
+    (",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW.replace("1.5", "wide") + "\n",
+     "reps.csv line 2: could not convert"),
+    (",".join(simulation.REPS_HEADER) + "\n", "reps.csv: no data rows"),
+    ("", "reps.csv: empty input file"),
+], ids=["wrong-header", "ten-fields", "non-numeric", "header-only", "empty"])
+def test_malformed_rep_log_is_data_error(runner, tmp_path, text, where):
+    src = tmp_path / "reps.csv"
+    src.write_text(text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["report", str(src), "-o", str(out)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error:data: {where}")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_rep_log_header_matches_like_a_series_header(tmp_path):
+    src = tmp_path / "reps.csv"
+    src.write_text(" " + ",".join(simulation.REPS_HEADER).upper().replace(",", " , ") + "\n" + REPS_ROW + "\n")
+    (cell,) = simulation.read_rep_log(src)
+    assert (cell.p1, cell.p2, cell.snr) == (10, 25, (1.0, 2.0))
+    assert cell.records[0].ci_ratio == 1.5
+
+
+def test_read_rows_streams(tmp_path):
+    # The malformed last line is reached only after the first row has been yielded.
+    src = tmp_path / "series.csv"
+    src.write_text("t,value\n0,1.0\n1,2.0\n2\n")
+    rows = read_rows(src, ["t", "value"])
+    assert next(rows) == (2, ["0", "1.0"])
+    assert next(rows) == (3, ["1", "2.0"])
+    with pytest.raises(CsvFormatError, match="series.csv line 4: expected 2 columns, got 1"):
+        next(rows)

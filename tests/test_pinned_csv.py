@@ -154,3 +154,12 @@ def test_manifest_records_environment(case, tmp_path):
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
+
+
+@pytest.mark.parametrize("case", ["filter_periods", "run_vmbpbb", "transfer", "simulate", "report"])
+def test_manifest_lists_every_written_csv(case, tmp_path):
+    out = produce(case, tmp_path)
+    (path,) = out.glob("*manifest.json")
+    outputs = json.loads(path.read_text())["outputs"]
+    assert sorted(outputs) == sorted(p.name for p in out.glob("*.csv"))
+    assert all((path.parent / name).is_file() for name in outputs)

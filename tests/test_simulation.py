@@ -148,6 +148,33 @@ class TestRunScenario:
         cfg = small_cfg(reps=6)
         assert run_scenario_detail(cfg, threads=1)[0] == run_scenario_detail(cfg, threads=2)[0]
 
+    @pytest.mark.parametrize("threads,reps,pools", [
+        (16, 2, [2]),
+        (4, 1, []),
+        (2, 3, [2]),
+    ], ids=["capped-at-reps", "one-rep-runs-serially", "fewer-threads-than-reps"])
+    def test_pool_gets_at_most_one_worker_per_repetition(self, monkeypatch, threads, reps, pools):
+        # A stand-in pool records its size and maps serially, so no process starts.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("vmbpbb.simulation.ProcessPoolExecutor", SerialPool)
+        cfg = small_cfg(reps=reps)
+        assert run_scenario_detail(cfg, threads=threads) == run_scenario_detail(cfg, threads=1)
+        assert started == pools
+
     def test_noiseless_single_rep_tracks_truth(self):
         cfg = ScenarioConfig(p1=50, p2=100, snr=(1, 0), n=1000, resamples=20, reps=1, seed=SeedSpec(1))
         _, records = run_scenario_detail(cfg)

@@ -6,6 +6,15 @@ t with a value drawn uniformly, with replacement, from the subset of phase
 t mod p; slot draws are mutually independent. Repeating B times and taking the
 periodic mean of every resample yields the bootstrap distribution of the
 per-phase means.
+
+The resamples of one period are drawn and summed in blocks of about 2**14
+slots. A block writes each resample's raw PCG64 words into one buffer, turns
+them into offsets with one vectorised Lemire step (numpy's own rule for
+bounded integers), gathers every series of the stack with one take, and sums
+each phase by reshaping every resample to (cycles, p) and summing over the
+cycle axis. numpy adds along a non-last axis one cycle at a time, the order
+in which np.bincount adds a phase's weights, so the means are bit for bit
+those of the one-resample-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -182,55 +191,89 @@ def _phase_layout(n: int, p: int):
     return phases, np.bincount(phases, minlength=p)
 
 
-def _index_sampler(n: int, p: int):
-    """The resample index draw of a length-n series at period p.
+# A block holds about this many slots (resamples times n), so that its words,
+# indices and gathered values stay in a core's cache.
+_BLOCK_SLOTS = 2**14
 
-    draw(seq) gives one resample's source indices from the seed sequence seq,
-    slot t drawing uniformly from the subset of phase t mod p. It equals, bit
-    for bit,
 
-        phases + p * Generator(PCG64(seq)).integers(0, counts[phases], size=n)
+class _IndexBlocks:
+    """The resample index draw of a length-n series at period p, a block of rows at a time.
 
+    Resample b draws from its own sub-stream seed.child(b): its indices equal,
+    bit for bit,
+
+        phases + p * Generator(PCG64(seq_b)).integers(0, counts[phases], size=n)
+
+    with seq_b the b-th SeedSequence that spawn makes (see child_states).
     numpy draws each bound below 2**32 by Lemire's method: slot t takes the
     next 32-bit word w of the stream (the low half of a 64-bit output first),
     and its offset is (w * bound) >> 32, unless the low 32 bits of that
     product fall below 2**32 % bound, in which case w is rejected and the
     slot takes the next word. A slot whose phase has one member takes no
-    word. Here the live slots read their words from PCG64(seq).random_raw in
-    one vectorised step; a row that holds a rejected word (about 1e-4 of
-    rows at the hourly bounds) is redrawn by numpy itself.
+    word.
+
+    Iterating yields (b, index) for b = 0, rows, 2 * rows, ...: index is an
+    (m, n) int64 array, m <= rows, holding the indices of resamples b to
+    b + m - 1. It is a buffer that the next block overwrites. A block stacks
+    its rows' raw PCG64 words into one word buffer and takes the Lemire step
+    over the whole block; a row that holds a rejected word (about 1e-4 of
+    rows at the hourly bounds) is redrawn by numpy itself. The check that
+    resamples lies in 1..MAX_RESAMPLES and the period check run on
+    construction.
     """
-    phases, counts = _phase_layout(n, p)
-    bounds = counts[phases]
-    live = bounds > 1
-    # Singleton phases occur only when n < 2p; their slots keep offset 0.
-    scatter = not live.all()
-    bound = bounds[live].astype(np.uint64)
-    live_slots = bound.size
-    low_bound = bound.astype(np.uint32)
-    threshold = (np.uint64(2**32) % bound).astype(np.uint32)
-    # Any rejected word leaves a low product below the largest threshold.
-    screen = threshold.max(initial=0)
-    base = phases.astype(np.uint64)
 
-    def draw(seq):
-        raw = np.random.PCG64(seq).random_raw((live_slots + 1) // 2)
-        words = raw.astype("<u8", copy=False).view("<u4")[:live_slots]
-        low = words * low_bound  # the product's low 32 bits, by uint32 wraparound
-        if low.min(initial=screen) < screen and np.any(low < threshold):
-            generator = np.random.Generator(np.random.PCG64(seq))
-            return phases + p * generator.integers(0, bounds, size=n)
-        offsets = words.astype(np.uint64)
-        offsets *= bound
-        offsets >>= 32
-        if scatter:
-            offsets, live_offsets = np.zeros(n, dtype=np.uint64), offsets
-            offsets[live] = live_offsets
-        offsets *= p
-        offsets += base
-        return offsets.view(np.int64)
+    def __init__(self, n: int, p: int, resamples: int, seed: SeedSpec):
+        resamples = int(resamples)
+        if resamples < 1:
+            raise InsufficientResamplesError("need at least one resample")
+        if resamples > MAX_RESAMPLES:
+            raise ValueError(f"at most {MAX_RESAMPLES} resamples, got {resamples}")
+        self.n, self.p = n, _validate_period(p, n)
+        self.phases, self.counts = _phase_layout(n, self.p)
+        self.states = child_states(seed, np.arange(resamples, dtype=np.uint32))
+        self.rows = min(resamples, max(1, _BLOCK_SLOTS // n))
 
-    return draw
+    def __iter__(self):
+        n, p, rows, phases = self.n, self.p, self.rows, self.phases
+        bounds = self.counts[phases]
+        live = bounds > 1
+        bound = bounds[live].astype(np.uint64)
+        live_slots = bound.size
+        low_bound = bound.astype(np.uint32)
+        threshold = (np.uint64(2**32) % bound).astype(np.uint32)
+        # Any rejected word leaves a low product below the largest threshold.
+        screen = threshold.max(initial=0)
+        live_base = phases[live].astype(np.uint64)
+        half = (live_slots + 1) // 2
+        raw = np.empty((rows, half), dtype="<u8")
+        low = np.empty((rows, live_slots), dtype=np.uint32)
+        offsets = np.empty((rows, live_slots), dtype=np.uint64)
+        # Singleton phases occur only when n < 2p; their slots keep offset 0,
+        # so their columns hold the phase itself in every block.
+        scatter = not live.all()
+        index = np.tile(phases.astype(np.uint64), (rows, 1)) if scatter else offsets
+        for b in range(0, self.states.shape[0], rows):
+            states = self.states[b:b + rows]
+            m = states.shape[0]
+            if m < rows:
+                raw, low, offsets, index = raw[:m], low[:m], offsets[:m], index[:m]
+            draws = [np.random.PCG64(_ChildSeed(state)).random_raw(half) for state in states]
+            # A one-row block reads its words where PCG64 wrote them.
+            block = draws[0][None] if m == 1 else np.stack(draws, out=raw)
+            words = block.astype("<u8", copy=False).view("<u4")[:, :live_slots]
+            # The product's low 32 bits, by uint32 wraparound.
+            np.multiply(words, low_bound, out=low)
+            np.multiply(words, bound, out=offsets)
+            offsets >>= 32
+            offsets *= p
+            offsets += live_base
+            if scatter:
+                index[:, live] = offsets
+            if low.min(initial=screen) < screen:
+                for i in np.flatnonzero((low < threshold).any(axis=1)):
+                    generator = np.random.Generator(np.random.PCG64(_ChildSeed(states[i])))
+                    index[i] = phases + p * generator.integers(0, bounds, size=n)
+            yield b, index.view(np.int64)
 
 
 def pbb_resample(series: TimeSeries, p: int, rng: np.random.Generator) -> TimeSeries:
@@ -254,19 +297,11 @@ def resample_indices(n: int, p: int, resamples: int, seed: SeedSpec):
     with rng = seed.child(b).generator(): the bits of
     Generator(PCG64(seq_b)).integers(0, counts[phases], size=n), with seq_b
     the b-th SeedSequence that root.spawn(resamples) makes from
-    SeedSequence(seed.master_seed, spawn_key=seed.labels). All resamples'
-    PCG64 seeds are derived in one vectorised step (child_states), and the
-    indices are drawn from the raw PCG64 words without a Generator (see
-    _index_sampler). resamples must lie in 1..MAX_RESAMPLES.
+    SeedSequence(seed.master_seed, spawn_key=seed.labels). The rows are those
+    of the block draw bootstrap_phase_means takes (_IndexBlocks), one at a
+    time. resamples must lie in 1..MAX_RESAMPLES.
     """
-    resamples = int(resamples)
-    if resamples < 1:
-        raise InsufficientResamplesError("need at least one resample")
-    if resamples > MAX_RESAMPLES:
-        raise ValueError(f"at most {MAX_RESAMPLES} resamples, got {resamples}")
-    draw = _index_sampler(n, _validate_period(p, n))
-    states = child_states(seed, np.arange(resamples, dtype=np.uint32))
-    return map(draw, map(_ChildSeed, states))
+    return (row for _, index in _IndexBlocks(n, p, resamples, seed) for row in index.copy())
 
 
 def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
@@ -277,23 +312,42 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     entry [i, b] holds the p phase means of row i resampled by draw b, and
     series resampled together take the same draws. Returns a
     (k, resamples, p) array.
+
+    The draws come in blocks of resamples (_IndexBlocks), and each block is
+    gathered from all k rows at once. Its phase sums reshape the first c
+    whole cycles of every resample to (c, p) and sum over the cycle axis;
+    the first n % p phases then add their last member. numpy reduces over a
+    non-last axis by adding one cycle at a time, so every phase adds its
+    members in index order, as a one-row np.bincount with weights does.
+    bincount starts each sum from +0.0, which only makes a difference where
+    every member is -0.0; adding 0.0 gives that case bincount's +0.0. At
+    p = 1 the cycle axis would be the last one, which numpy sums pairwise, so
+    that case adds by a running sum instead.
     """
     values = np.asarray(stack, dtype=float)
     k, n = values.shape
-    draws = resample_indices(n, p, resamples, seed)
-    p, resamples = int(p), int(resamples)
-    phases, counts = _phase_layout(n, p)
-    # Row i's phase s lands in bin i*p + s; bincount adds each bin's weights in
-    # index order, so every row sums exactly as a one-row bincount would.
-    bins = (phases + p * np.arange(k)[:, None]).ravel()
-    # Row i of the stack starts at i*n in the flat array.
-    flat = values.ravel()
-    starts = n * np.arange(k)[:, None]
-    estimates = np.empty((k, resamples, p))
-    for b, index in enumerate(draws):
-        gathered = flat.take(index if k == 1 else index + starts)
-        sums = np.bincount(bins, weights=gathered.ravel(), minlength=k * p)
-        estimates[:, b] = sums.reshape(k, p) / counts
+    blocks = _IndexBlocks(n, p, resamples, seed)
+    p, rows = blocks.p, blocks.rows
+    cycles, rest = divmod(n, p)
+    whole = cycles * p
+    gathered = np.empty((k, rows, n))
+    estimates = np.empty((k, blocks.states.shape[0], p))
+    for b, index in blocks:
+        m = index.shape[0]
+        if m < rows:
+            gathered = np.empty((k, m, n))
+        # The indices lie in range by construction; under the default "raise"
+        # mode numpy would gather into a temporary and copy it to out.
+        values.take(index, axis=1, out=gathered, mode="clip")
+        sums = estimates[:, b:b + m]
+        if p == 1:
+            sums[..., 0] = np.cumsum(gathered, axis=-1, out=gathered)[..., -1]
+        else:
+            gathered[..., :whole].reshape(k, m, cycles, p).sum(axis=2, out=sums)
+            if rest:
+                sums[..., :rest] += gathered[..., whole:]
+        sums += 0.0
+        sums /= blocks.counts
     return estimates
 
 

@@ -3,7 +3,7 @@
 Every input CSV, a ``t,value`` series or a ``reps.csv`` log, is read by one
 streaming reader, ``read_rows``: UTF-8 text, a header that matches after
 stripping spaces and folding case, the header's number of fields on every
-non-blank row, and at least one data row. A broken rule is a CsvFormatError
+non-blank row, no "_" in a data cell, and at least one data row. A broken rule is a CsvFormatError
 naming the file and, where there is one, the line. In a series the time
 column must be consecutive integers (unit spacing, no gaps). Floats are
 written with 17 significant digits so every file round-trips double
@@ -41,7 +41,8 @@ def read_rows(path, header):
     of each name. Rows are yielded as they are read, so a caller never holds
     the whole file. The rules every input CSV shares raise CsvFormatError: text
     that is not UTF-8, an empty file, another header, a row with another field
-    count, no data rows.
+    count, a cell holding "_", no data rows. Every data cell of both input
+    formats is a number, and int() and float() would read "1_0" as 10.
     """
     path = Path(path)
     found = False
@@ -60,6 +61,9 @@ def read_rows(path, header):
                     raise CsvFormatError(
                         f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
                     )
+                if "_" in "".join(row):
+                    cell = next(c for c in row if "_" in c)
+                    raise CsvFormatError(f"{path.name} line {lineno}: {cell!r} is not a number ('_' in a cell)")
                 found = True
                 yield lineno, row
     except UnicodeDecodeError as exc:

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -14,7 +16,8 @@ from vmbpbb import (
     ci_band,
     pbb_resample,
 )
-from vmbpbb.bootstrap import bootstrap_phase_means, child_states, resample_indices
+from vmbpbb import bootstrap
+from vmbpbb.bootstrap import _ChildSeed, bootstrap_phase_means, child_states, resample_indices
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
 from vmbpbb.series import _frozen_array, _validate_period
 
@@ -242,6 +245,140 @@ class TestChildStates:
     def test_resamples_must_fit_32_bits(self):
         with pytest.raises(ValueError, match="4294967296"):
             resample_indices(10, 2, 2**32, SeedSpec(0))
+
+
+def reference_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
+    """Reference oracle: one resample at a time, phase sums by np.bincount.
+
+    Each row's offsets come from its own PCG64 words by numpy's Lemire rule;
+    a row holding a rejected word is redrawn by Generator.integers. Row i's
+    phase s of the stack lands in bin i*p + s, and bincount adds each bin's
+    weights in index order.
+    """
+    values = np.asarray(stack, dtype=float)
+    k, n = values.shape
+    phases = np.arange(n) % p
+    counts = np.bincount(phases, minlength=p)
+    bounds = counts[phases]
+    live = bounds > 1
+    bound = bounds[live].astype(np.uint64)
+    threshold = (np.uint64(2**32) % bound).astype(np.uint32)
+
+    def draw(state):
+        raw = np.random.PCG64(_ChildSeed(state)).random_raw((bound.size + 1) // 2)
+        words = raw.astype("<u8", copy=False).view("<u4")[:bound.size]
+        if np.any(words * bound.astype(np.uint32) < threshold):
+            generator = np.random.Generator(np.random.PCG64(_ChildSeed(state)))
+            return phases + p * generator.integers(0, bounds, size=n)
+        offsets = np.zeros(n, dtype=np.uint64)
+        offsets[live] = (words.astype(np.uint64) * bound) >> 32
+        return (phases + p * offsets).astype(np.int64)
+
+    bins = (phases + p * np.arange(k)[:, None]).ravel()
+    flat = values.ravel()
+    starts = n * np.arange(k)[:, None]
+    estimates = np.empty((k, resamples, p))
+    for b, state in enumerate(child_states(seed, np.arange(resamples, dtype=np.uint32))):
+        gathered = flat.take(draw(state) + starts)
+        sums = np.bincount(bins, weights=gathered.ravel(), minlength=k * p)
+        estimates[:, b] = sums.reshape(k, p) / counts
+    return estimates
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def spread_stack(k: int, n: int, data_seed: int) -> np.ndarray:
+    """Values of both signs with magnitudes from 1e-8 to 1e16, where the summing order shows."""
+    rng = np.random.default_rng(data_seed)
+    signs = rng.choice([-1.0, 1.0], size=(k, n))
+    return signs * rng.uniform(1.0, 10.0, size=(k, n)) * 10.0 ** rng.integers(-8, 17, size=(k, n))
+
+
+def block_rows(n: int) -> int:
+    return max(1, bootstrap._BLOCK_SLOTS // n)
+
+
+class TestBlockDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 3]),
+        n=st.integers(20, 2500),
+        period=st.data(),
+        resamples=st.sampled_from(["below", "equal", "ragged"]),
+        data_seed=st.integers(0, 2**32 - 1),
+        negative_zero=st.booleans(),
+    )
+    # p divides n; p does not divide n; n < 2p (singleton phases); p = 1; p = n.
+    @example(k=2, n=1000, period=50, resamples="ragged", data_seed=1, negative_zero=False)
+    @example(k=3, n=1000, period=168, resamples="equal", data_seed=2, negative_zero=False)
+    @example(k=2, n=61, period=40, resamples="ragged", data_seed=3, negative_zero=False)
+    @example(k=1, n=300, period=1, resamples="ragged", data_seed=4, negative_zero=False)
+    @example(k=2, n=25, period=25, resamples="below", data_seed=5, negative_zero=True)
+    @example(k=3, n=2000, period=7, resamples="ragged", data_seed=6, negative_zero=True)
+    def test_equals_one_resample_at_a_time(self, k, n, period, resamples, data_seed, negative_zero):
+        p = period if isinstance(period, int) else period.draw(st.integers(1, n), label="p")
+        rows = block_rows(n)
+        count = {"below": max(1, rows - 1), "equal": rows, "ragged": 2 * rows + 1}[resamples]
+        stack = np.full((k, n), -0.0) if negative_zero else spread_stack(k, n, data_seed)
+        seed = SeedSpec(data_seed, (n, p))
+        got = bootstrap_phase_means(stack, p, count, seed)
+        assert_same_bits(got, reference_phase_means(stack, p, count, seed))
+        if negative_zero:
+            assert not np.signbit(got).any()
+
+    def test_rejected_word_rows_inside_a_block(self, monkeypatch):
+        n, p, seed = 8760, 2, SeedSpec(430)
+        bound = n // p
+        states = child_states(seed, np.arange(235, dtype=np.uint32))
+        words = np.array([np.random.PCG64(_ChildSeed(s)).random_raw(n // 2) for s in states])
+        words = words.astype("<u8").view("<u4").astype(np.uint64)
+        # numpy's Lemire step rejects a word whose product's low half is below 2**32 % bound.
+        rejected = np.flatnonzero(((words * bound) % 2**32 < 2**32 % bound).any(axis=1))
+        assert rejected.tolist() == [0, 232]
+        # Five rows a block: row 0 opens the first block, row 232 sits mid-way in rows 230..234.
+        monkeypatch.setattr(bootstrap, "_BLOCK_SLOTS", 5 * n)
+        stack = spread_stack(2, n, 430)
+        assert_same_bits(bootstrap_phase_means(stack, p, 235, seed), reference_phase_means(stack, p, 235, seed))
+
+    # At 7 slots a block holds 1 or 2 rows; at 2**20, all 45.
+    @pytest.mark.parametrize("k,n,p", [(2, 1000, 50), (3, 61, 6), (1, 40, 25), (2, 30, 1), (2, 3, 1), (1, 5, 3)])
+    def test_block_size_does_not_matter(self, monkeypatch, k, n, p):
+        stack = spread_stack(k, n, n)
+        seed = SeedSpec(11, (n, p))
+        want = bootstrap_phase_means(stack, p, 45, seed)
+        for slots in (1, 7, 2**20):
+            monkeypatch.setattr(bootstrap, "_BLOCK_SLOTS", slots)
+            assert_same_bits(bootstrap_phase_means(stack, p, 45, seed), want)
+            rows = [row.copy() for row in resample_indices(n, p, 45, seed)]
+            monkeypatch.undo()
+            np.testing.assert_array_equal(rows, list(resample_indices(n, p, 45, seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        p=st.integers(2, 9),
+        columns=st.data(),
+    )
+    def test_sum_over_a_non_last_axis_adds_in_index_order(self, lead, p, columns):
+        # bootstrap_phase_means relies on this to match np.bincount bit for bit.
+        cycles = columns.draw(st.integers(2, 12), label="cycles")
+        terms = st.sampled_from([1e16, -1e16, 1.0, -1.0, 3.0, 1e-8, 2.0**53, -0.5])
+        size = math.prod(lead) * cycles * p
+        flat = columns.draw(st.lists(terms, min_size=size, max_size=size), label="values")
+        arr = np.array(flat).reshape(lead + (cycles, p))
+        sums = arr.sum(axis=-2)
+        for where in np.ndindex(lead + (p,)):
+            column = arr[where[:-1] + (slice(None), where[-1])]
+            assert sums[where] == functools.reduce(operator.add, column.tolist())
+
+    def test_order_sensitive_sum_is_left_to_right(self):
+        arr = np.array([[1e16, 1e16], [1.0, 1.0], [-1e16, -1e16]])
+        # Left to right, 1e16 + 1.0 rounds back to 1e16; any other order keeps the 1.0.
+        np.testing.assert_array_equal(arr.sum(axis=-2), [0.0, 0.0])
+        assert math.fsum(arr[:, 0]) == 1.0
 
 
 class TestBootstrapPeriodicMeans:

@@ -67,6 +67,14 @@ class TestSeriesCsv:
         with pytest.raises(CsvFormatError, match="line 2"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("row", ["1_0,10.5", "10,1_0.5", "10,1e1_0"])
+    def test_underscore_in_a_cell(self, tmp_path, row):
+        # int() and float() accept "1_0" as 10.
+        path = tmp_path / "underscore.csv"
+        path.write_text(f"t,value\n9,1.0\n{row}\n")
+        with pytest.raises(CsvFormatError, match="underscore.csv line 3: '.*_.*' is not a number"):
+            read_series_csv(path)
+
 
 class TestFilterCommand:
     def test_periods_mode_recovers_sines(self, runner, tmp_path):
@@ -623,6 +631,27 @@ def test_malformed_rep_log_is_data_error(runner, tmp_path, text, where):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr.startswith(f"error:data: {where}")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("filter", ["--periods", "2"]),
+    ("run", ["--periods", "2", "--seed", "1"]),
+    ("report", []),
+])
+def test_underscore_in_a_numeric_cell_is_data_error(runner, tmp_path, command, extra):
+    src = tmp_path / "in.csv"
+    if command == "report":
+        src.write_text(",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW + "\n" + REPS_ROW.replace("90", "9_0") + "\n")
+    else:
+        src.write_text("t,value\n" + "".join(f"{t},{t % 3}.5\n" for t in range(9)) + "9,1_0.5\n")
+    out = tmp_path / ("out.csv" if command == "filter" else "out")
+    result = runner.invoke(main, [command, str(src), *extra, "-o", str(out)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    where = "in.csv line 3: '9_0'" if command == "report" else "in.csv line 11: '1_0.5'"
+    assert result.stderr.startswith(f"error:data: {where} is not a number")
     assert len(result.stderr.splitlines()) == 1
     assert not out.exists()
 

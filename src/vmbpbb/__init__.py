@@ -15,7 +15,6 @@ from .bootstrap import (
     SeedSpec,
     bootstrap_periodic_means,
     ci_band,
-    pbb_resample,
 )
 from .filters import (
     ComplexSeries,
@@ -77,7 +76,6 @@ __all__ = [
     "kz_coefficients",
     "kzft_apply",
     "outside_fraction",
-    "pbb_resample",
     "periodic_mean",
     "reconstruct_component",
     "run_grid",

@@ -7,14 +7,10 @@ t mod p; slot draws are mutually independent. Repeating B times and taking the
 periodic mean of every resample yields the bootstrap distribution of the
 per-phase means.
 
-The resamples of one period are drawn and summed in blocks of about 2**14
-slots. A block writes each resample's raw PCG64 words into one buffer, turns
-them into offsets with one vectorised Lemire step (numpy's own rule for
-bounded integers), gathers every series of the stack with one take, and sums
-each phase by reshaping every resample to (cycles, p) and summing over the
-cycle axis. numpy adds along a non-last axis one cycle at a time, the order
-in which np.bincount adds a phase's weights, so the means are bit for bit
-those of the one-resample-at-a-time loop.
+The resamples of one period are drawn in blocks of about 2**14 slots
+(_IndexBlocks), gathered from every series of a stack with one take, and
+averaged by series._phase_means, so the means are bit for bit those of the
+one-resample-at-a-time loop with np.bincount.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InsufficientResamplesError
-from .series import TimeSeries, _frozen_array, _validate_period
+from .series import TimeSeries, _frozen_array, _phase_layout, _phase_means, _validate_period
 
 
 @dataclass(frozen=True)
@@ -185,12 +181,6 @@ class CIBand:
         return self.upper - self.lower
 
 
-def _phase_layout(n: int, p: int):
-    """Each slot's phase t mod p, and the member count of every phase."""
-    phases = np.arange(n) % p
-    return phases, np.bincount(phases, minlength=p)
-
-
 # A block holds about this many slots (resamples times n), so that its words,
 # indices and gathered values stay in a core's cache.
 _BLOCK_SLOTS = 2**14
@@ -276,62 +266,22 @@ class _IndexBlocks:
             yield b, index.view(np.int64)
 
 
-def pbb_resample(series: TimeSeries, p: int, rng: np.random.Generator) -> TimeSeries:
-    """Draw one periodic block bootstrap resample of the series at period p.
-
-    Output slot t receives a uniform draw from the phase subset t mod p; all n
-    draws are independent and with replacement. The offsets come from
-    rng.integers, so rng may be any Generator at any point of its stream.
-    """
-    p = _validate_period(p, series.n)
-    phases, counts = _phase_layout(series.n, p)
-    index = phases + p * rng.integers(0, counts[phases], size=series.n)
-    return TimeSeries(series.values[index], series.start_index)
-
-
-def resample_indices(n: int, p: int, resamples: int, seed: SeedSpec):
-    """An iterator over the source indices of resamples b = 0..resamples-1 at period p.
-
-    Resample b draws from its own sub-stream seed.child(b), so rows are
-    reproducible individually. Its indices equal those pbb_resample draws
-    with rng = seed.child(b).generator(): the bits of
-    Generator(PCG64(seq_b)).integers(0, counts[phases], size=n), with seq_b
-    the b-th SeedSequence that root.spawn(resamples) makes from
-    SeedSequence(seed.master_seed, spawn_key=seed.labels). The rows are those
-    of the block draw bootstrap_phase_means takes (_IndexBlocks), one at a
-    time. resamples must lie in 1..MAX_RESAMPLES.
-    """
-    return (row for _, index in _IndexBlocks(n, p, resamples, seed) for row in index.copy())
-
-
 def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
     """Bootstrap the periodic means of k equal-length series with shared draws.
 
-    stack is a (k, n) array. Resample b draws one index vector from
-    resample_indices(n, p, resamples, seed) and applies it to every row, so
+    stack is a (k, n) array. Resample b draws one index vector, row b of
+    _IndexBlocks(n, p, resamples, seed), and applies it to every row, so
     entry [i, b] holds the p phase means of row i resampled by draw b, and
     series resampled together take the same draws. Returns a
-    (k, resamples, p) array.
-
-    The draws come in blocks of resamples (_IndexBlocks), and each block is
-    gathered from all k rows at once. Its phase sums reshape the first c
-    whole cycles of every resample to (c, p) and sum over the cycle axis;
-    the first n % p phases then add their last member. numpy reduces over a
-    non-last axis by adding one cycle at a time, so every phase adds its
-    members in index order, as a one-row np.bincount with weights does.
-    bincount starts each sum from +0.0, which only makes a difference where
-    every member is -0.0; adding 0.0 gives that case bincount's +0.0. At
-    p = 1 the cycle axis would be the last one, which numpy sums pairwise, so
-    that case adds by a running sum instead.
+    (k, resamples, p) array. Each block of draws is gathered from all k rows
+    at once and averaged by _phase_means, bit for bit as np.bincount would.
     """
     values = np.asarray(stack, dtype=float)
     k, n = values.shape
     blocks = _IndexBlocks(n, p, resamples, seed)
-    p, rows = blocks.p, blocks.rows
-    cycles, rest = divmod(n, p)
-    whole = cycles * p
+    rows = blocks.rows
     gathered = np.empty((k, rows, n))
-    estimates = np.empty((k, blocks.states.shape[0], p))
+    estimates = np.empty((k, blocks.states.shape[0], blocks.p))
     for b, index in blocks:
         m = index.shape[0]
         if m < rows:
@@ -339,15 +289,7 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
         # The indices lie in range by construction; under the default "raise"
         # mode numpy would gather into a temporary and copy it to out.
         values.take(index, axis=1, out=gathered, mode="clip")
-        sums = estimates[:, b:b + m]
-        if p == 1:
-            sums[..., 0] = np.cumsum(gathered, axis=-1, out=gathered)[..., -1]
-        else:
-            gathered[..., :whole].reshape(k, m, cycles, p).sum(axis=2, out=sums)
-            if rest:
-                sums[..., :rest] += gathered[..., whole:]
-        sums += 0.0
-        sums /= blocks.counts
+        _phase_means(gathered, blocks.counts, estimates[:, b:b + m])
     return estimates
 
 
@@ -356,9 +298,7 @@ def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: S
 
     Returns a read-only (resamples, p) array. Resample b consumes its own
     sub-stream seed.child(b), so rows are reproducible individually and the
-    run parallelizes without coordination. Row b is bit-identical to
-    periodic_mean(pbb_resample(series, p, rng_b), p) with
-    rng_b = seed.child(b).generator(). This is the one-series case of
+    run parallelizes without coordination. This is the one-series case of
     bootstrap_phase_means.
     """
     estimates = bootstrap_phase_means(series.values[None, :], p, resamples, seed)[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -395,7 +396,10 @@ def cmd_transfer(spec_texts, grid_text, output_path):
     """Evaluate energy transfer curves on a frequency grid."""
     try:
         start, stop, count = grid_text.split(":")
-        freqs = np.linspace(float(start), float(stop), int(count))
+        start, stop = float(start), float(stop)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("start and stop must be finite")
+        freqs = np.linspace(start, stop, int(count))
     except ValueError as exc:
         raise ConfigError(f"bad --grid value {grid_text!r}: {exc}") from exc
     specs = [_parse_spec(text) for text in spec_texts]

@@ -152,6 +152,19 @@ def check_window_fits(spec: FilterSpec, n: int, name: str) -> None:
         )
 
 
+def _kzft_values(values: np.ndarray, spec: FilterSpec, edge: EdgePolicy = EdgePolicy.RENORMALIZE) -> np.ndarray:
+    """The bandpass filter's complex output on a 1-D array; see kzft_apply for its start."""
+    n = values.size
+    h = spec.half_width
+    if edge is EdgePolicy.TRUNCATE and n <= 2 * h:
+        raise SeriesTooShortError(f"series of length {n} too short for full windows of width {2 * h + 1}")
+    # Output t of the full correlation sits at np.convolve index t + h.
+    full = np.convolve(values, _kzft_kernel(spec.m, spec.k, spec.nu)[::-1], mode="full")
+    if edge is EdgePolicy.TRUNCATE:
+        return full[2 * h : n]
+    return full[h : h + n] / _tap_mass(spec.m, spec.k, n)
+
+
 def kzft_apply(series, spec: FilterSpec, edge: EdgePolicy = EdgePolicy.RENORMALIZE) -> ComplexSeries:
     """Apply the bandpass filter: sum_u w(u) * exp(-i*2*pi*nu*u) * X(t+u).
 
@@ -160,17 +173,8 @@ def kzft_apply(series, spec: FilterSpec, edge: EdgePolicy = EdgePolicy.RENORMALI
     and the output equals the KZ filter applied to the input. Edge
     renormalization divides by the (m, k) table's own mass at each point.
     """
-    n = series.n
-    h = spec.half_width
-    # Output t of the full correlation sits at np.convolve index t + h.
-    full = np.convolve(series.values, _kzft_kernel(spec.m, spec.k, spec.nu)[::-1], mode="full")
-    if edge is EdgePolicy.TRUNCATE:
-        if n <= 2 * h:
-            raise SeriesTooShortError(
-                f"series of length {n} too short for full windows of width {2 * h + 1}"
-            )
-        return ComplexSeries(full[2 * h : n], series.start_index + h)
-    return ComplexSeries(full[h : h + n] / _tap_mass(spec.m, spec.k, n), series.start_index)
+    shift = spec.half_width if edge is EdgePolicy.TRUNCATE else 0
+    return ComplexSeries(_kzft_values(series.values, spec, edge), series.start_index + shift)
 
 
 def reconstruct_component(cs: ComplexSeries) -> TimeSeries:

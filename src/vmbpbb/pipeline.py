@@ -18,12 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from .bootstrap import CIBand, SeedSpec, bootstrap_phase_means, ci_band, resample_indices
+from .bootstrap import CIBand, SeedSpec, _IndexBlocks, bootstrap_phase_means, ci_band
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
-from .filters import FilterSpec, check_window_fits, kzft_apply, reconstruct_component, select_filter_specs
-from .series import TimeSeries, periodic_mean, validate_periods
+from .filters import (FilterSpec, _kzft_values, check_window_fits, kzft_apply, reconstruct_component,
+                      select_filter_specs)
+from .series import TimeSeries, _phase_layout, _phase_means, validate_periods
 
 # Stream label of the whole-series draws under the pipeline seed. Periods are
 # >= 2, so no component sub-stream seed.child(p) can take it.
@@ -177,18 +178,20 @@ def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> d
     """Per mode and period, the (B, p) phase means under Resample.SERIES.
 
     Row b holds the phase means of the mode's filter (specs entry; None =
-    all-pass) applied to one draw, pbb_resample(series, L, rng_b), with
-    L = lcm(periods) and rng_b = cfg.seed.child(0, b).generator(). Each draw
-    is made once and filtered by every mode.
+    all-pass) applied to draw b of the series at L = lcm(periods), made on
+    sub-stream cfg.seed.child(0, b) (_IndexBlocks). Each block of draws is
+    gathered once and filtered by every mode, row by row, with the arithmetic
+    of reconstruct_component(kzft_apply(draw, spec)).
     """
-    cycle = math.lcm(*cfg.periods)
-    draws = resample_indices(series.n, cycle, cfg.resamples, cfg.seed.child(_SERIES_STREAM))
+    blocks = _IndexBlocks(series.n, math.lcm(*cfg.periods), cfg.resamples, cfg.seed.child(_SERIES_STREAM))
+    counts = {p: _phase_layout(series.n, p)[1] for p in cfg.periods}
     estimates = {mode: {p: np.empty((cfg.resamples, p)) for p in cfg.periods} for mode in specs}
-    for b, index in enumerate(draws):
-        draw = TimeSeries(series.values[index], series.start_index)
+    for b, index in blocks:
+        draws = series.values[index]
         for mode, mode_specs in specs.items():
-            for p, comp in zip(cfg.periods, _components(draw, mode_specs)):
-                estimates[mode][p][b] = periodic_mean(comp, p)
+            for p, spec in zip(cfg.periods, mode_specs):
+                comps = draws if spec is None else np.array([2.0 * _kzft_values(row, spec).real for row in draws])
+                _phase_means(comps, counts[p], estimates[mode][p][b:b + len(draws)])
     return estimates
 
 

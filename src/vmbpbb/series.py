@@ -56,6 +56,38 @@ def _validate_period(p, n: int) -> int:
     return p
 
 
+def _phase_layout(n: int, p: int):
+    """Each slot's phase t mod p, and the member count of every phase."""
+    phases = np.arange(n) % p
+    return phases, np.bincount(phases, minlength=p)
+
+
+def _phase_means(values: np.ndarray, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out (..., p) the phase means of every length-n row of values (..., n).
+
+    p is counts.size and counts[s] the member count of phase s (_phase_layout);
+    values is only read. The means equal np.bincount(phases, weights=row) /
+    counts bit for bit: numpy sums a (cycles, p) reshape over its non-last
+    cycle axis one cycle at a time, so each phase adds its members in index
+    order, as bincount does, and the first n % p phases then add their last
+    member. bincount starts each sum from +0.0, which differs only where every
+    member is -0.0; adding 0.0 gives that case +0.0. At p = 1 the cycle axis
+    would be the last one, which numpy sums pairwise, so a running sum is used.
+    """
+    p = counts.size
+    cycles, rest = divmod(values.shape[-1], p)
+    whole = cycles * p
+    if p == 1:
+        out[..., 0] = np.cumsum(values, axis=-1)[..., -1]
+    else:
+        values[..., :whole].reshape(values.shape[:-1] + (cycles, p)).sum(axis=-2, out=out)
+        if rest:
+            out[..., :rest] += values[..., whole:]
+    out += 0.0
+    out /= counts
+    return out
+
+
 def periodic_mean(series: TimeSeries, p: int) -> np.ndarray:
     """Average the series at each phase of an integer period p.
 
@@ -64,8 +96,6 @@ def periodic_mean(series: TimeSeries, p: int) -> np.ndarray:
     multiple of p; trailing phases simply average one fewer sample.
     """
     p = _validate_period(p, series.n)
-    phases = np.arange(series.n) % p
-    counts = np.bincount(phases, minlength=p)
-    means = np.bincount(phases, weights=series.values, minlength=p) / counts
+    means = _phase_means(series.values, _phase_layout(series.n, p)[1], np.empty(p))
     means.setflags(write=False)
     return means

@@ -19,6 +19,7 @@ import numpy as np
 from .bootstrap import CIBand, SeedSpec
 from .csvio import read_rows
 from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
+from .filters import select_filter_specs
 from .pipeline import Mode, PipelineConfig, Resample, mode_filters, run_paired
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .pipeline import run_pipeline  # noqa: F401
@@ -31,6 +32,15 @@ _BOOT_STREAM = 1
 # Component amplitude is fixed at one unit, so total signal power is
 # len(components) * 1/2.
 _AMPLITUDE = 1.0
+
+
+def _check_snr(snr) -> tuple:
+    """An SNR as (signal, noise) floats: a positive signal part and a non-negative noise part."""
+    signal, noise = float(snr[0]), float(snr[1])
+    # Written so that NaN fails too.
+    if not (signal > 0.0 and noise >= 0.0):
+        raise ValueError("snr parts must be positive (noise part may be 0 for noiseless tests)")
+    return signal, noise
 
 
 @dataclass(frozen=True)
@@ -57,10 +67,8 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "snr", (float(self.snr[0]), float(self.snr[1])))
+        object.__setattr__(self, "snr", _check_snr(self.snr))
         signal, noise = self.snr
-        if signal <= 0.0 or noise < 0.0:
-            raise ValueError("snr parts must be positive (noise part may be 0 for noiseless tests)")
         if self.reps < 1:
             raise ValueError("need at least one repetition")
         try:
@@ -306,19 +314,30 @@ def rep_columns(cells):
 
 
 def read_rep_log(path) -> list[GridCell]:
-    """Rebuild the grid cells, metrics included, from a reps.csv log."""
+    """Rebuild the grid cells, metrics included, from a reps.csv log.
+
+    Every field is a finite number, and each cell's SNR, period pair and
+    narrow_factor pass the rules a grid run checks them by.
+    """
     name = Path(path).name
     cells = {}
     for lineno, row in read_rows(path, REPS_HEADER):
         try:
-            key = ((float(row[0]), float(row[1])), int(row[2]), int(row[3]), float(row[4]))
+            numbers = [float(text) for text in row]
+            bad = [text for text, value in zip(row, numbers) if not math.isfinite(value)]
+            if bad:
+                raise ValueError(f"{bad[0].strip()!r} is not a finite number")
+            key = (_check_snr(numbers[:2]), int(row[2]), int(row[3]), numbers[4])
+            if key not in cells:
+                select_filter_specs(key[1:3], key[3])
+                cells[key] = []
             rec = RepRecord(
-                rep=int(row[5]), ci_ratio=float(row[6]), outside_pbb=float(row[7]),
-                outside_vmbpbb=float(row[8]), r2_pbb=float(row[9]), r2_vmbpbb=float(row[10]),
+                rep=int(row[5]), ci_ratio=numbers[6], outside_pbb=numbers[7],
+                outside_vmbpbb=numbers[8], r2_pbb=numbers[9], r2_vmbpbb=numbers[10],
             )
         except ValueError as exc:
             raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
-        cells.setdefault(key, []).append(rec)
+        cells[key].append(rec)
     return [
         GridCell(p1=p1, p2=p2, snr=snr, narrow_factor=nf,
                  metrics=_aggregate_records(records), records=tuple(records))

@@ -14,10 +14,9 @@ from vmbpbb import (
     TimeSeries,
     bootstrap_periodic_means,
     ci_band,
-    pbb_resample,
 )
 from vmbpbb import bootstrap
-from vmbpbb.bootstrap import _ChildSeed, bootstrap_phase_means, child_states, resample_indices
+from vmbpbb.bootstrap import _ChildSeed, _IndexBlocks, bootstrap_phase_means, child_states
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
 from vmbpbb.series import _frozen_array, _validate_period
 
@@ -44,6 +43,22 @@ def phase_partition(n: int, p: int) -> PhasePartition:
     p = _validate_period(p, n)
     subsets = tuple(np.arange(s, n, p) for s in range(p))
     return PhasePartition(period=p, subsets=subsets)
+
+
+def pbb_resample(series: TimeSeries, p: int, rng: np.random.Generator) -> TimeSeries:
+    """Reference oracle: one periodic block bootstrap resample of the series at period p.
+
+    Output slot t takes a uniform draw, with replacement, from the phase
+    subset t mod p, by rng.integers.
+    """
+    phases = np.arange(series.n) % p
+    counts = np.bincount(phases, minlength=p)
+    return TimeSeries(series.values[phases + p * rng.integers(0, counts[phases], size=series.n)])
+
+
+def index_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
+    """The library's draw: every row of _IndexBlocks, copied out of its block buffer."""
+    return [row.copy() for _, block in _IndexBlocks(n, p, resamples, seed) for row in block]
 
 
 def quantile_oracle(values, q):
@@ -104,22 +119,22 @@ class TestPhasePartition:
 
 
 class TestPbbResample:
+    """The periodic block bootstrap draw, as the library makes it (_IndexBlocks rows)."""
+
     def test_constant_series(self):
         series = TimeSeries([2.0] * 9)
-        out = pbb_resample(series, 3, SeedSpec(1).generator())
-        np.testing.assert_array_equal(out.values, series.values)
+        for row in index_rows(9, 3, 5, SeedSpec(1)):
+            np.testing.assert_array_equal(series.values[row], series.values)
 
     def test_singleton_phases_identity(self):
-        series = TimeSeries([5.0, 6.0, 7.0])
-        out = pbb_resample(series, 3, SeedSpec(1).generator())
-        np.testing.assert_array_equal(out.values, series.values)
+        for row in index_rows(3, 3, 5, SeedSpec(1)):
+            np.testing.assert_array_equal(row, [0, 1, 2])
 
     def test_support_preserved(self):
         series = TimeSeries([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
-        rng = SeedSpec(8).generator()
         even, odd = {10.0, 30.0, 50.0}, {20.0, 40.0, 60.0}
-        for _ in range(10_000):
-            out = pbb_resample(series, 2, rng).values
+        for row in index_rows(6, 2, 10_000, SeedSpec(8)):
+            out = series.values[row]
             assert set(out[0::2]) <= even and set(out[1::2]) <= odd
 
     # None of these periods divides n, so the phases hold unequal counts.
@@ -131,7 +146,7 @@ class TestPbbResample:
         rng = SeedSpec(p, (n,)).generator()
         drawn_by = {
             "pbb_resample": [pbb_resample(series, p, rng).values.astype(int) for _ in range(200)],
-            "resample_indices": list(resample_indices(n, p, 200, SeedSpec(n, (p,)))),
+            "_IndexBlocks": index_rows(n, p, 200, SeedSpec(n, (p,))),
         }
         for source, rows in drawn_by.items():
             for s, subset in enumerate(part.subsets):
@@ -140,8 +155,7 @@ class TestPbbResample:
 
     def test_slot_frequencies_uniform(self):
         series = TimeSeries([10.0, 20.0, 30.0, 40.0])
-        rng = SeedSpec(3).generator()
-        draws = np.array([pbb_resample(series, 2, rng).values for _ in range(20_000)])
+        draws = series.values[np.array(index_rows(4, 2, 20_000, SeedSpec(3)))]
         # every slot draws its two phase values with frequency -> 1/2
         for slot, pair in [(0, (10, 30)), (1, (20, 40)), (2, (10, 30)), (3, (20, 40))]:
             frac = np.mean(draws[:, slot] == pair[0])
@@ -158,8 +172,10 @@ def numpy_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
 
 
 class TestResampleIndicesDraw:
+    """The rows of _IndexBlocks against numpy's own bounded integers."""
+
     def assert_rows_equal_numpy(self, n, p, resamples, seed):
-        rows = list(resample_indices(n, p, resamples, seed))
+        rows = index_rows(n, p, resamples, seed)
         for b, (got, want) in enumerate(zip(rows, numpy_rows(n, p, resamples, seed), strict=True)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want, err_msg=f"n={n} p={p} row {b}")
@@ -183,7 +199,7 @@ class TestResampleIndicesDraw:
         live = bounds > 1
         seed = SeedSpec(3, (n, p))
         (seq,) = np.random.SeedSequence(3, spawn_key=(n, p)).spawn(1)
-        (row,) = resample_indices(n, p, 1, seed)
+        (row,) = index_rows(n, p, 1, seed)
         offsets = (row - phases) // p
         assert np.all(offsets[~live] == 0)
         expected = np.random.Generator(np.random.PCG64(seq)).integers(0, bounds[live])
@@ -244,7 +260,7 @@ class TestChildStates:
 
     def test_resamples_must_fit_32_bits(self):
         with pytest.raises(ValueError, match="4294967296"):
-            resample_indices(10, 2, 2**32, SeedSpec(0))
+            _IndexBlocks(10, 2, 2**32, SeedSpec(0))
 
 
 def reference_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
@@ -352,9 +368,9 @@ class TestBlockDraw:
         for slots in (1, 7, 2**20):
             monkeypatch.setattr(bootstrap, "_BLOCK_SLOTS", slots)
             assert_same_bits(bootstrap_phase_means(stack, p, 45, seed), want)
-            rows = [row.copy() for row in resample_indices(n, p, 45, seed)]
+            rows = index_rows(n, p, 45, seed)
             monkeypatch.undo()
-            np.testing.assert_array_equal(rows, list(resample_indices(n, p, 45, seed)))
+            np.testing.assert_array_equal(rows, index_rows(n, p, 45, seed))
 
     @settings(max_examples=60, deadline=None)
     @given(

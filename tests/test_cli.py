@@ -574,6 +574,15 @@ class TestTransferCommand:
             lam, energy = float(row[3]), float(row[4])
             assert energy == energy_transfer(lam, 7, 2, 0.1)
 
+    @pytest.mark.parametrize("grid", ["0:nan:3", "nan:0.5:3", "0:inf:3", "-inf:0.5:3"])
+    def test_non_finite_grid_bound_is_config_error(self, runner, tmp_path, grid):
+        out = tmp_path / "tr.csv"
+        result = runner.invoke(main, ["transfer", "--spec", "m=5,k=1", "--grid", grid, "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error:config: bad --grid value {grid!r}: start and stop must be finite\n"
+        assert not out.exists()
+
 
 def test_version_is_the_same_everywhere(runner, tmp_path):
     tomllib = pytest.importorskip("tomllib")
@@ -612,6 +621,8 @@ def test_non_utf8_input_is_data_error(runner, tmp_path, command, extra):
 
 
 REPS_ROW = "1,2,10,25,1,0,1.5,0.1,0.2,90,95"
+# A header and one good row, for a bad row at line 3.
+REPS_LOG = ",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW + "\n"
 
 
 @pytest.mark.parametrize("text,where", [
@@ -622,7 +633,17 @@ REPS_ROW = "1,2,10,25,1,0,1.5,0.1,0.2,90,95"
      "reps.csv line 2: could not convert"),
     (",".join(simulation.REPS_HEADER) + "\n", "reps.csv: no data rows"),
     ("", "reps.csv: empty input file"),
-], ids=["wrong-header", "ten-fields", "non-numeric", "header-only", "empty"])
+    # Rows no grid run writes, one per rule on a row's values.
+    (REPS_LOG + REPS_ROW.replace(",1.5,", ",nan,") + "\n", "reps.csv line 3: 'nan' is not a finite number"),
+    (REPS_LOG + REPS_ROW.replace(",1.5,", ",inf,") + "\n", "reps.csv line 3: 'inf' is not a finite number"),
+    (REPS_LOG + REPS_ROW.replace("10,25", "25,25") + "\n", "reps.csv line 3: duplicate periods cannot be separated"),
+    (REPS_LOG + REPS_ROW.replace("10,25", "1,25") + "\n", "reps.csv line 3: periods must be integers >= 2"),
+    (REPS_LOG + "0" + REPS_ROW[1:] + "\n", "reps.csv line 3: snr parts must be positive"),
+    (REPS_LOG + REPS_ROW.replace("1,2,", "1,-2,", 1) + "\n", "reps.csv line 3: snr parts must be positive"),
+    (REPS_LOG + REPS_ROW.replace("10,25,1,", "10,25,0.5,") + "\n", "reps.csv line 3: narrow_factor must be >= 1"),
+    (REPS_LOG + "0,10,50,50,0.5,0,1,0.2,0.3,40,90\n", "reps.csv line 3: snr parts must be positive"),
+], ids=["wrong-header", "ten-fields", "non-numeric", "header-only", "empty", "nan", "inf", "equal-periods",
+        "period-below-2", "zero-signal", "negative-noise", "narrow-factor-below-1", "every-rule-broken"])
 def test_malformed_rep_log_is_data_error(runner, tmp_path, text, where):
     src = tmp_path / "reps.csv"
     src.write_text(text)

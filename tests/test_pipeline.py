@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,6 @@ from vmbpbb import (
     ci_band,
     energy_transfer,
     kzft_apply,
-    pbb_resample,
-    periodic_mean,
     reconstruct_component,
     run_paired,
     run_pipeline,
@@ -29,6 +28,12 @@ from vmbpbb.errors import InsufficientResamplesError, InvalidFilterError, Invali
 def decompose(series, periods):
     """One designed bandpass component per period, as the VMBPBB pipeline filters them."""
     return [reconstruct_component(kzft_apply(series, spec)) for spec in select_filter_specs(periods)]
+
+
+def bincount_means(values, p):
+    """Reference oracle: the phase means of values at period p by np.bincount."""
+    phases = np.arange(len(values)) % p
+    return np.bincount(phases, weights=values, minlength=p) / np.bincount(phases, minlength=p)
 
 
 def two_sine(n=1000, p1=50, p2=100):
@@ -268,26 +273,34 @@ class TestSeriesResample:
             assert [c.period for c in swapped.components] == [100, 50]
 
     def test_modes_consume_identical_draws(self):
-        series = self.noisy_series()
+        series = self.noisy_series(1000)
         seed = SeedSpec(4)
-        kw = dict(periods=(50, 100), resamples=6, seed=seed, resample=Resample.SERIES)
-        pbb = run_pipeline(series, PipelineConfig(mode=Mode.PBB, **kw))
-        vm = run_pipeline(series, PipelineConfig(mode=Mode.VMBPBB, **kw))
-        # one whole-series draw per resample at lcm(50, 100), on seed.child(0, b)
-        draws = [pbb_resample(series, 100, seed.child(0, b).generator()) for b in range(6)]
-        specs = dict(zip((50, 100), select_filter_specs((50, 100))))
-        for comp in pbb.components:
-            rows = [periodic_mean(d, comp.period) for d in draws]
-            np.testing.assert_array_equal(comp.estimates, np.array(rows))
-        for comp in vm.components:
-            spec = specs[comp.period]
-            rows = [periodic_mean(reconstruct_component(kzft_apply(d, spec)), comp.period)
-                    for d in draws]
-            np.testing.assert_array_equal(comp.estimates, np.array(rows))
-            assert comp.filter == spec
-        for comp in pbb.components:
-            assert comp.filter is None
-            np.testing.assert_array_equal(comp.component_series.values, series.values)
+        # lcm(50, 100) = 100 divides n, lcm(24, 168) = 168 does not. At n = 1000
+        # a draw block holds 16 resamples, so 37 resamples take three blocks.
+        for periods in ((50, 100), (24, 168)):
+            kw = dict(periods=periods, resamples=37, seed=seed, resample=Resample.SERIES)
+            pbb = run_pipeline(series, PipelineConfig(mode=Mode.PBB, **kw))
+            vm = run_pipeline(series, PipelineConfig(mode=Mode.VMBPBB, **kw))
+            # one whole-series draw per resample at L = lcm(periods), on seed.child(0, b):
+            # slot t takes a uniform draw from the slots congruent to t modulo L
+            cycle = math.lcm(*periods)
+            phases = np.arange(series.n) % cycle
+            counts = np.bincount(phases, minlength=cycle)
+            draws = [series.values[phases + cycle * seed.child(0, b).generator().integers(0, counts[phases])]
+                     for b in range(37)]
+            specs = dict(zip(periods, select_filter_specs(periods)))
+            for comp in pbb.components:
+                rows = np.array([bincount_means(d, comp.period) for d in draws])
+                np.testing.assert_array_equal(comp.estimates.view(np.uint64), rows.view(np.uint64))
+            for comp in vm.components:
+                spec = specs[comp.period]
+                rows = np.array([bincount_means(reconstruct_component(kzft_apply(TimeSeries(d), spec)).values,
+                                                comp.period) for d in draws])
+                np.testing.assert_array_equal(comp.estimates.view(np.uint64), rows.view(np.uint64))
+                assert comp.filter == spec
+            for comp in pbb.components:
+                assert comp.filter is None
+                np.testing.assert_array_equal(comp.component_series.values, series.values)
 
     def test_rejects_fewer_than_two_lcm_cycles(self):
         rng = np.random.default_rng(2)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmbpbb import TimeSeries, periodic_mean
 from vmbpbb.errors import InvalidPeriodError
+
+
+def bincount_means(values, p):
+    """Reference oracle: each phase's np.bincount weight sum over its member count."""
+    phases = np.arange(values.size) % p
+    return np.bincount(phases, weights=values, minlength=p) / np.bincount(phases, minlength=p)
 
 
 class TestTimeSeries:
@@ -44,6 +50,32 @@ class TestPeriodicMean:
         # phases of 3, 2 and 2 samples
         pm = periodic_mean(TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]), 3)
         np.testing.assert_array_equal(pm, [4.0, 3.5, 4.5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        period=st.data(),
+        data_seed=st.integers(0, 2**32 - 1),
+        negative_zero=st.booleans(),
+    )
+    # p divides n; p does not divide n; p = 1; p = n; every sample -0.0.
+    @example(n=336, period=168, data_seed=1, negative_zero=False)
+    @example(n=400, period=168, data_seed=2, negative_zero=False)
+    @example(n=300, period=1, data_seed=3, negative_zero=False)
+    @example(n=97, period=97, data_seed=4, negative_zero=False)
+    @example(n=61, period=7, data_seed=5, negative_zero=True)
+    def test_equals_bincount_bit_for_bit(self, n, period, data_seed, negative_zero):
+        p = period if isinstance(period, int) else period.draw(st.integers(1, n), label="p")
+        if negative_zero:
+            values = np.full(n, -0.0)
+        else:
+            # Both signs, magnitudes from 1e-8 to 1e16, where the summing order shows.
+            rng = np.random.default_rng(data_seed)
+            values = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-8, 16, n)
+        got = periodic_mean(TimeSeries(values), p)
+        want = bincount_means(values, p)
+        assert got.shape == want.shape == (p,)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("p", [0, -1, 5])
     def test_invalid_periods(self, p):

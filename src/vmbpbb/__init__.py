@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .bootstrap import (
     CIBand,
     SeedSpec,
-    bootstrap_periodic_means,
     ci_band,
 )
 from .filters import (
@@ -36,7 +35,7 @@ from .pipeline import (
     run_paired,
     run_pipeline,
 )
-from .series import TimeSeries, periodic_mean
+from .series import TimeSeries
 from .simulation import (
     GridCell,
     RepRecord,
@@ -67,7 +66,6 @@ __all__ = [
     "SeedSpec",
     "TimeSeries",
     "TrueSignals",
-    "bootstrap_periodic_means",
     "ci_band",
     "ci_ratio",
     "energy_transfer",
@@ -76,7 +74,6 @@ __all__ = [
     "kz_coefficients",
     "kzft_apply",
     "outside_fraction",
-    "periodic_mean",
     "reconstruct_component",
     "run_grid",
     "run_paired",

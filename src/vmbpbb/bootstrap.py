@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InsufficientResamplesError
-from .series import TimeSeries, _frozen_array, _phase_layout, _phase_means, _validate_period
+from .series import TimeSeries, _frozen_array, _phase_layout, _phase_means
 
 
 @dataclass(frozen=True)
@@ -199,67 +199,57 @@ class _IndexBlocks:
     next 32-bit word w of the stream (the low half of a 64-bit output first),
     and its offset is (w * bound) >> 32, unless the low 32 bits of that
     product fall below 2**32 % bound, in which case w is rejected and the
-    slot takes the next word. A slot whose phase has one member takes no
-    word.
+    slot takes the next word.
+
+    The caller holds 2 <= p, 2p <= n and 1 <= resamples <= MAX_RESAMPLES, so
+    every phase has at least two members and every slot takes a word. A run
+    checks all three where it enters: PipelineConfig the period rules
+    (validate_periods) and the resample count, pipeline.mode_filters the
+    series length, for both p = period and p = lcm(periods).
 
     Iterating yields (b, index) for b = 0, rows, 2 * rows, ...: index is an
     (m, n) int64 array, m <= rows, holding the indices of resamples b to
     b + m - 1. It is a buffer that the next block overwrites. A block stacks
     its rows' raw PCG64 words into one word buffer and takes the Lemire step
     over the whole block; a row that holds a rejected word (about 1e-4 of
-    rows at the hourly bounds) is redrawn by numpy itself. The check that
-    resamples lies in 1..MAX_RESAMPLES and the period check run on
-    construction.
+    rows at the hourly bounds) is redrawn by numpy itself.
     """
 
     def __init__(self, n: int, p: int, resamples: int, seed: SeedSpec):
-        resamples = int(resamples)
-        if resamples < 1:
-            raise InsufficientResamplesError("need at least one resample")
-        if resamples > MAX_RESAMPLES:
-            raise ValueError(f"at most {MAX_RESAMPLES} resamples, got {resamples}")
-        self.n, self.p = n, _validate_period(p, n)
-        self.phases, self.counts = _phase_layout(n, self.p)
+        self.n, self.p = n, p
+        self.phases, self.counts = _phase_layout(n, p)
         self.states = child_states(seed, np.arange(resamples, dtype=np.uint32))
         self.rows = min(resamples, max(1, _BLOCK_SLOTS // n))
 
     def __iter__(self):
         n, p, rows, phases = self.n, self.p, self.rows, self.phases
         bounds = self.counts[phases]
-        live = bounds > 1
-        bound = bounds[live].astype(np.uint64)
-        live_slots = bound.size
-        low_bound = bound.astype(np.uint32)
+        bound = bounds.astype(np.uint64)
+        low_bound = bounds.astype(np.uint32)
         threshold = (np.uint64(2**32) % bound).astype(np.uint32)
         # Any rejected word leaves a low product below the largest threshold.
-        screen = threshold.max(initial=0)
-        live_base = phases[live].astype(np.uint64)
-        half = (live_slots + 1) // 2
+        screen = threshold.max()
+        base = phases.astype(np.uint64)
+        half = (n + 1) // 2
         raw = np.empty((rows, half), dtype="<u8")
-        low = np.empty((rows, live_slots), dtype=np.uint32)
-        offsets = np.empty((rows, live_slots), dtype=np.uint64)
-        # Singleton phases occur only when n < 2p; their slots keep offset 0,
-        # so their columns hold the phase itself in every block.
-        scatter = not live.all()
-        index = np.tile(phases.astype(np.uint64), (rows, 1)) if scatter else offsets
+        low = np.empty((rows, n), dtype=np.uint32)
+        index = np.empty((rows, n), dtype=np.uint64)
         for b in range(0, self.states.shape[0], rows):
             states = self.states[b:b + rows]
             m = states.shape[0]
             if m < rows:
-                raw, low, offsets, index = raw[:m], low[:m], offsets[:m], index[:m]
+                raw, low, index = raw[:m], low[:m], index[:m]
             draws = [np.random.PCG64(_ChildSeed(state)).random_raw(half) for state in states]
             # A one-row block reads its words where PCG64 wrote them.
             block = draws[0][None] if m == 1 else np.stack(draws, out=raw)
-            words = block.astype("<u8", copy=False).view("<u4")[:, :live_slots]
+            words = block.astype("<u8", copy=False).view("<u4")[:, :n]
             # The product's low 32 bits, by uint32 wraparound.
             np.multiply(words, low_bound, out=low)
-            np.multiply(words, bound, out=offsets)
-            offsets >>= 32
-            offsets *= p
-            offsets += live_base
-            if scatter:
-                index[:, live] = offsets
-            if low.min(initial=screen) < screen:
+            np.multiply(words, bound, out=index)
+            index >>= 32
+            index *= p
+            index += base
+            if low.min() < screen:
                 for i in np.flatnonzero((low < threshold).any(axis=1)):
                     generator = np.random.Generator(np.random.PCG64(_ChildSeed(states[i])))
                     index[i] = phases + p * generator.integers(0, bounds, size=n)
@@ -275,6 +265,7 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     series resampled together take the same draws. Returns a
     (k, resamples, p) array. Each block of draws is gathered from all k rows
     at once and averaged by _phase_means, bit for bit as np.bincount would.
+    n, p and resamples meet the preconditions of _IndexBlocks.
     """
     values = np.asarray(stack, dtype=float)
     k, n = values.shape
@@ -307,14 +298,12 @@ def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: S
 
 
 def ci_band(samples, alpha: float = 0.05) -> CIBand:
-    """Pointwise band from B sample rows: empirical alpha/2 and 1-alpha/2 quantiles.
+    """Pointwise band from a (B, columns) array: empirical alpha/2 and 1-alpha/2 quantiles.
 
     Quantiles interpolate linearly between order statistics at rank
     h = (B-1)*q + 1 (1-based); the point estimate is the per-column mean.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
     if arr.shape[0] < 2:
         raise InsufficientResamplesError("quantile bands need at least 2 resamples")
     if not 0.0 < alpha < 1.0:

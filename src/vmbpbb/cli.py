@@ -408,7 +408,7 @@ def cmd_transfer(spec_texts, grid_text, output_path):
         [spec.m for spec in specs for _ in freqs],
         [spec.k for spec in specs for _ in freqs],
         np.repeat([float(spec.nu) for spec in specs], freqs.size),
-        np.tile(freqs, len(specs)),
+        np.concatenate([freqs] * len(specs)),
         np.concatenate([energy_transfer(freqs, spec.m, spec.k, spec.nu) for spec in specs]),
     ]
     write_rows_csv(output_path, ["m", "k", "nu", "lambda", "energy"], columns)

@@ -18,7 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bootstrap import CIBand, SeedSpec, _IndexBlocks, bootstrap_phase_means, ci_band
+from .bootstrap import (MAX_RESAMPLES, CIBand, SeedSpec, _IndexBlocks, bootstrap_phase_means,
+                        ci_band)
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
@@ -63,7 +64,8 @@ class PipelineConfig:
     draws seed.child(0, b) under SERIES.
 
     filters holds VMBPBB's designed filter per period, in period order; it is
-    derived from periods and narrow_factor and cannot be set.
+    derived from periods and narrow_factor and cannot be set. The period rules
+    and 2 <= resamples <= MAX_RESAMPLES are checked here, not in the kernels.
     """
 
     periods: tuple
@@ -80,6 +82,8 @@ class PipelineConfig:
         object.__setattr__(self, "resamples", int(self.resamples))
         if self.resamples < 2:
             raise InsufficientResamplesError("pipelines need at least 2 resamples")
+        if self.resamples > MAX_RESAMPLES:
+            raise ValueError(f"at most {MAX_RESAMPLES} resamples, got {self.resamples}")
         object.__setattr__(self, "resample", Resample(self.resample))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")

@@ -1,4 +1,4 @@
-"""Core time-series value types, the period rules, and periodic means."""
+"""Core time-series value types, the period rules, and the phase-mean kernel."""
 
 from __future__ import annotations
 
@@ -49,13 +49,6 @@ def validate_periods(periods) -> tuple:
     return periods
 
 
-def _validate_period(p, n: int) -> int:
-    p = int(p)
-    if p < 1 or p > n:
-        raise InvalidPeriodError(f"period {p} outside valid range [1, {n}]")
-    return p
-
-
 def _phase_layout(n: int, p: int):
     """Each slot's phase t mod p, and the member count of every phase."""
     phases = np.arange(n) % p
@@ -66,36 +59,23 @@ def _phase_means(values: np.ndarray, counts: np.ndarray, out: np.ndarray) -> np.
     """Write into out (..., p) the phase means of every length-n row of values (..., n).
 
     p is counts.size and counts[s] the member count of phase s (_phase_layout);
-    values is only read. The means equal np.bincount(phases, weights=row) /
-    counts bit for bit: numpy sums a (cycles, p) reshape over its non-last
-    cycle axis one cycle at a time, so each phase adds its members in index
-    order, as bincount does, and the first n % p phases then add their last
-    member. bincount starts each sum from +0.0, which differs only where every
-    member is -0.0; adding 0.0 gives that case +0.0. At p = 1 the cycle axis
-    would be the last one, which numpy sums pairwise, so a running sum is used.
+    values is only read. The caller holds 2 <= p and 2p <= n: every period is
+    checked by validate_periods where a PipelineConfig is built, and against
+    n by pipeline.mode_filters before a run draws. The means equal
+    np.bincount(phases, weights=row) / counts bit for bit: numpy sums a
+    (cycles, p) reshape over its non-last cycle axis one cycle at a time, so
+    each phase adds its members in index order, as bincount does, and the
+    first n % p phases then add their last member. bincount starts each sum
+    from +0.0, which differs only where every member is -0.0; adding 0.0 gives
+    that case +0.0.
     """
     p = counts.size
     cycles, rest = divmod(values.shape[-1], p)
     whole = cycles * p
-    if p == 1:
-        out[..., 0] = np.cumsum(values, axis=-1)[..., -1]
-    else:
-        values[..., :whole].reshape(values.shape[:-1] + (cycles, p)).sum(axis=-2, out=out)
-        if rest:
-            out[..., :rest] += values[..., whole:]
+    values[..., :whole].reshape(values.shape[:-1] + (cycles, p)).sum(axis=-2, out=out)
+    if rest:
+        out[..., :rest] += values[..., whole:]
     out += 0.0
     out /= counts
     return out
 
-
-def periodic_mean(series: TimeSeries, p: int) -> np.ndarray:
-    """Average the series at each phase of an integer period p.
-
-    Entry s of the read-only length-p result averages every sample whose
-    index is congruent to s modulo p. The series length does not need to be a
-    multiple of p; trailing phases simply average one fewer sample.
-    """
-    p = _validate_period(p, series.n)
-    means = _phase_means(series.values, _phase_layout(series.n, p)[1], np.empty(p))
-    means.setflags(write=False)
-    return means

@@ -316,8 +316,11 @@ def rep_columns(cells):
 def read_rep_log(path) -> list[GridCell]:
     """Rebuild the grid cells, metrics included, from a reps.csv log.
 
-    Every field is a finite number, and each cell's SNR, period pair and
-    narrow_factor pass the rules a grid run checks them by.
+    Every field is a finite number, each cell's SNR, period pair and
+    narrow_factor pass the rules a grid run checks them by, and every row is
+    one a grid run can write: p1 < p2, one narrow_factor and distinct reps
+    >= 0 per cell, outside fractions in [0, 1], ci_ratio and r2 >= 0 (r2 may
+    round a few ulps above 100).
     """
     name = Path(path).name
     cells = {}
@@ -329,17 +332,25 @@ def read_rep_log(path) -> list[GridCell]:
                 raise ValueError(f"{bad[0].strip()!r} is not a finite number")
             key = (_check_snr(numbers[:2]), int(row[2]), int(row[3]), numbers[4])
             if key not in cells:
-                select_filter_specs(key[1:3], key[3])
-                cells[key] = []
-            rec = RepRecord(
-                rep=int(row[5]), ci_ratio=numbers[6], outside_pbb=numbers[7],
-                outside_vmbpbb=numbers[8], r2_pbb=numbers[9], r2_vmbpbb=numbers[10],
-            )
+                _, p1, p2, nf = key
+                select_filter_specs((p1, p2), nf)
+                if p1 > p2:
+                    raise ValueError(f"p1 {p1} is above p2 {p2}")
+                if any(other[:3] == key[:3] for other in cells):
+                    raise ValueError(f"a second narrow_factor {nf:g} for cell ({p1}, {p2})")
+                cells[key] = {}
+            for field, value in zip(REPS_HEADER[6:], numbers[6:]):
+                top = 1.0 if field.startswith("outside") else math.inf
+                if not 0.0 <= value <= top:
+                    raise ValueError(f"{field} {value:g} is outside [0, {top:g}]")
+            rep = int(row[5])
+            if rep < 0 or rep in cells[key]:
+                raise ValueError(f"rep {rep} is negative or repeats within its cell")
         except ValueError as exc:
             raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
-        cells[key].append(rec)
+        cells[key][rep] = RepRecord(rep, *numbers[6:])
     return [
         GridCell(p1=p1, p2=p2, snr=snr, narrow_factor=nf,
-                 metrics=_aggregate_records(records), records=tuple(records))
+                 metrics=_aggregate_records(records.values()), records=tuple(records.values()))
         for (snr, p1, p2, nf), records in cells.items()
     ]

@@ -20,7 +20,6 @@ from vmbpbb import (
     ScenarioConfig,
     SeedSpec,
     TimeSeries,
-    bootstrap_periodic_means,
     energy_transfer,
     half_power_cutoff,
     kz_coefficients,
@@ -29,6 +28,7 @@ from vmbpbb import (
     run_scenario_detail,
     select_filter_specs,
 )
+from vmbpbb.bootstrap import bootstrap_periodic_means
 
 DESK = dict(n=1000, resamples=200, reps=50)
 SEED = SeedSpec(42)

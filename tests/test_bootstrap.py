@@ -10,15 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmbpbb import (
+    PipelineConfig,
     SeedSpec,
     TimeSeries,
-    bootstrap_periodic_means,
     ci_band,
 )
 from vmbpbb import bootstrap
-from vmbpbb.bootstrap import _ChildSeed, _IndexBlocks, bootstrap_phase_means, child_states
+from vmbpbb.bootstrap import (_ChildSeed, _IndexBlocks, bootstrap_periodic_means, bootstrap_phase_means,
+                              child_states)
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
-from vmbpbb.series import _frozen_array, _validate_period
+from vmbpbb.series import _frozen_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +38,11 @@ class PhasePartition:
 
 def phase_partition(n: int, p: int) -> PhasePartition:
     """Reference oracle: split indices 0..n-1 into the p congruence classes modulo p."""
-    n = int(n)
+    n, p = int(n), int(p)
     if n < 1:
         raise ValueError("series length must be positive")
-    p = _validate_period(p, n)
+    if not 1 <= p <= n:
+        raise InvalidPeriodError(f"period {p} outside valid range [1, {n}]")
     subsets = tuple(np.arange(s, n, p) for s in range(p))
     return PhasePartition(period=p, subsets=subsets)
 
@@ -57,7 +59,10 @@ def pbb_resample(series: TimeSeries, p: int, rng: np.random.Generator) -> TimeSe
 
 
 def index_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
-    """The library's draw: every row of _IndexBlocks, copied out of its block buffer."""
+    """The library's draw: every row of _IndexBlocks, copied out of its block buffer.
+
+    Like every caller of _IndexBlocks, the tests hold 2 <= p and 2p <= n.
+    """
     return [row.copy() for _, block in _IndexBlocks(n, p, resamples, seed) for row in block]
 
 
@@ -126,10 +131,6 @@ class TestPbbResample:
         for row in index_rows(9, 3, 5, SeedSpec(1)):
             np.testing.assert_array_equal(series.values[row], series.values)
 
-    def test_singleton_phases_identity(self):
-        for row in index_rows(3, 3, 5, SeedSpec(1)):
-            np.testing.assert_array_equal(row, [0, 1, 2])
-
     def test_support_preserved(self):
         series = TimeSeries([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
         even, odd = {10.0, 30.0, 50.0}, {20.0, 40.0, 60.0}
@@ -138,7 +139,7 @@ class TestPbbResample:
             assert set(out[0::2]) <= even and set(out[1::2]) <= odd
 
     # None of these periods divides n, so the phases hold unequal counts.
-    @pytest.mark.parametrize("n,p", [(n, p) for n in (7, 17, 101) for p in (2, 5, 24) if p <= n])
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (7, 17, 101) for p in (2, 5, 24) if 2 * p <= n])
     def test_support_preserved_when_period_does_not_divide_n(self, n, p):
         part = phase_partition(n, p)
         # Each value is its own source index, so a resample reads back as indices.
@@ -181,29 +182,14 @@ class TestResampleIndicesDraw:
             np.testing.assert_array_equal(got, want, err_msg=f"n={n} p={p} row {b}")
 
     def test_every_layout_up_to_40_equals_numpy(self):
-        # Covers p | n, p not dividing n, n == p and n < 2p (singleton phases).
-        for n in range(1, 41):
-            for p in range(1, n + 1):
+        # Covers p | n, p not dividing n, and n = 2p (two members a phase).
+        for n in range(4, 41):
+            for p in range(2, n // 2 + 1):
                 self.assert_rows_equal_numpy(n, p, 4, SeedSpec(n, (p,)))
 
     @pytest.mark.parametrize("n,p", [(990, 100), (1000, 168), (8760, 24), (8760, 168)])
     def test_long_series_equal_numpy(self, n, p):
         self.assert_rows_equal_numpy(n, p, 20, SeedSpec(7, (n, p)))
-
-    @pytest.mark.parametrize("n,p", [(7, 7), (7, 5), (39, 20), (40, 39)])
-    def test_singleton_phases_take_no_word(self, n, p):
-        # The live slots' offsets are numpy's draw over their bounds alone, so
-        # the slots of one-member phases consume nothing from the stream.
-        phases = np.arange(n) % p
-        bounds = np.bincount(phases, minlength=p)[phases]
-        live = bounds > 1
-        seed = SeedSpec(3, (n, p))
-        (seq,) = np.random.SeedSequence(3, spawn_key=(n, p)).spawn(1)
-        (row,) = index_rows(n, p, 1, seed)
-        offsets = (row - phases) // p
-        assert np.all(offsets[~live] == 0)
-        expected = np.random.Generator(np.random.PCG64(seq)).integers(0, bounds[live])
-        np.testing.assert_array_equal(offsets[live], expected)
 
     def test_row_with_rejected_word_equals_numpy(self):
         n, p, seed = 8760, 2, SeedSpec(430)
@@ -259,8 +245,9 @@ class TestChildStates:
         assert rows.shape == (3, 3, 2)
 
     def test_resamples_must_fit_32_bits(self):
-        with pytest.raises(ValueError, match="4294967296"):
-            _IndexBlocks(10, 2, 2**32, SeedSpec(0))
+        # PipelineConfig holds the bound, so no draw ever sees a larger count.
+        with pytest.raises(ValueError, match="at most 4294967295 resamples, got 4294967296"):
+            PipelineConfig(periods=(2,), resamples=2**32, seed=SeedSpec(0))
 
 
 def reference_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
@@ -276,18 +263,16 @@ def reference_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     phases = np.arange(n) % p
     counts = np.bincount(phases, minlength=p)
     bounds = counts[phases]
-    live = bounds > 1
-    bound = bounds[live].astype(np.uint64)
+    bound = bounds.astype(np.uint64)
     threshold = (np.uint64(2**32) % bound).astype(np.uint32)
 
     def draw(state):
-        raw = np.random.PCG64(_ChildSeed(state)).random_raw((bound.size + 1) // 2)
-        words = raw.astype("<u8", copy=False).view("<u4")[:bound.size]
+        raw = np.random.PCG64(_ChildSeed(state)).random_raw((n + 1) // 2)
+        words = raw.astype("<u8", copy=False).view("<u4")[:n]
         if np.any(words * bound.astype(np.uint32) < threshold):
             generator = np.random.Generator(np.random.PCG64(_ChildSeed(state)))
             return phases + p * generator.integers(0, bounds, size=n)
-        offsets = np.zeros(n, dtype=np.uint64)
-        offsets[live] = (words.astype(np.uint64) * bound) >> 32
+        offsets = (words.astype(np.uint64) * bound) >> 32
         return (phases + p * offsets).astype(np.int64)
 
     bins = (phases + p * np.arange(k)[:, None]).ravel()
@@ -327,15 +312,14 @@ class TestBlockDraw:
         data_seed=st.integers(0, 2**32 - 1),
         negative_zero=st.booleans(),
     )
-    # p divides n; p does not divide n; n < 2p (singleton phases); p = 1; p = n.
+    # p divides n; p does not divide n; n = 2p + 1 (one phase of three); n = 2p.
     @example(k=2, n=1000, period=50, resamples="ragged", data_seed=1, negative_zero=False)
     @example(k=3, n=1000, period=168, resamples="equal", data_seed=2, negative_zero=False)
-    @example(k=2, n=61, period=40, resamples="ragged", data_seed=3, negative_zero=False)
-    @example(k=1, n=300, period=1, resamples="ragged", data_seed=4, negative_zero=False)
-    @example(k=2, n=25, period=25, resamples="below", data_seed=5, negative_zero=True)
+    @example(k=2, n=61, period=30, resamples="ragged", data_seed=3, negative_zero=False)
+    @example(k=2, n=50, period=25, resamples="below", data_seed=5, negative_zero=True)
     @example(k=3, n=2000, period=7, resamples="ragged", data_seed=6, negative_zero=True)
     def test_equals_one_resample_at_a_time(self, k, n, period, resamples, data_seed, negative_zero):
-        p = period if isinstance(period, int) else period.draw(st.integers(1, n), label="p")
+        p = period if isinstance(period, int) else period.draw(st.integers(2, n // 2), label="p")
         rows = block_rows(n)
         count = {"below": max(1, rows - 1), "equal": rows, "ragged": 2 * rows + 1}[resamples]
         stack = np.full((k, n), -0.0) if negative_zero else spread_stack(k, n, data_seed)
@@ -359,13 +343,13 @@ class TestBlockDraw:
         stack = spread_stack(2, n, 430)
         assert_same_bits(bootstrap_phase_means(stack, p, 235, seed), reference_phase_means(stack, p, 235, seed))
 
-    # At 7 slots a block holds 1 or 2 rows; at 2**20, all 45.
-    @pytest.mark.parametrize("k,n,p", [(2, 1000, 50), (3, 61, 6), (1, 40, 25), (2, 30, 1), (2, 3, 1), (1, 5, 3)])
+    # At 13 slots a block holds 1 row, or 2 at n = 5 and 6; at 2**20, all 45.
+    @pytest.mark.parametrize("k,n,p", [(2, 1000, 50), (3, 61, 6), (1, 50, 25), (2, 5, 2), (1, 6, 3)])
     def test_block_size_does_not_matter(self, monkeypatch, k, n, p):
         stack = spread_stack(k, n, n)
         seed = SeedSpec(11, (n, p))
         want = bootstrap_phase_means(stack, p, 45, seed)
-        for slots in (1, 7, 2**20):
+        for slots in (1, 13, 2**20):
             monkeypatch.setattr(bootstrap, "_BLOCK_SLOTS", slots)
             assert_same_bits(bootstrap_phase_means(stack, p, 45, seed), want)
             rows = index_rows(n, p, 45, seed)
@@ -402,11 +386,6 @@ class TestBootstrapPeriodicMeans:
         run = bootstrap_periodic_means(TimeSeries([4.0] * 8), 2, 16, SeedSpec(0))
         np.testing.assert_array_equal(run, np.full((16, 2), 4.0))
 
-    def test_singleton_phases(self):
-        series = TimeSeries([1.0, 2.0, 3.0])
-        run = bootstrap_periodic_means(series, 3, 10, SeedSpec(0))
-        np.testing.assert_array_equal(run, np.tile(series.values, (10, 1)))
-
     def test_matches_exhaustive_enumeration(self):
         # phase 0 of [1,2,3,4] at p=2 draws pairs from {1,3}: means 1,2,2,3.
         run = bootstrap_periodic_means(TimeSeries([1.0, 2.0, 3.0, 4.0]), 2, 20_000, SeedSpec(99))
@@ -436,10 +415,10 @@ class TestBootstrapPeriodicMeans:
         series = TimeSeries(rng.normal(size=23))
         seed = SeedSpec(55, (4,))
         run = bootstrap_periodic_means(series, 5, 30, seed)
-        from vmbpbb import periodic_mean
-
+        phases = np.arange(series.n) % 5
         for b in range(30):
-            row = periodic_mean(pbb_resample(series, 5, seed.child(b).generator()), 5)
+            values = pbb_resample(series, 5, seed.child(b).generator()).values
+            row = np.bincount(phases, weights=values) / np.bincount(phases)
             np.testing.assert_array_equal(run[b], row)
 
     def test_resample_rows_independent_of_batch(self):
@@ -449,7 +428,7 @@ class TestBootstrapPeriodicMeans:
         large = bootstrap_periodic_means(series, 2, 8, SeedSpec(6))
         np.testing.assert_array_equal(small, large[:3])
 
-    @pytest.mark.parametrize("n,p", [(60, 6), (61, 6), (7, 7)])
+    @pytest.mark.parametrize("n,p", [(60, 6), (61, 6)])
     def test_stack_rows_equal_single_series_runs(self, n, p):
         rng = np.random.default_rng(n)
         stack = rng.normal(size=(3, n))
@@ -459,10 +438,6 @@ class TestBootstrapPeriodicMeans:
         for values, est in zip(stack, rows):
             single = bootstrap_periodic_means(TimeSeries(values), p, 12, seed)
             np.testing.assert_array_equal(est, single)
-
-    def test_needs_one_resample(self):
-        with pytest.raises(InsufficientResamplesError):
-            bootstrap_periodic_means(TimeSeries([1.0, 2.0]), 2, 0, SeedSpec(0))
 
 
 class TestCiBand:

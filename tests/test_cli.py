@@ -442,14 +442,16 @@ class TestSimulateAndReport:
         assert len(result.stderr.splitlines()) == 1
         assert not out.exists()
 
-    def test_single_resample_fails_before_the_pool_starts(self, runner, tmp_path, monkeypatch):
+    # Both bounds on the resample count hold in PipelineConfig, which every cell builds before any runs.
+    @pytest.mark.parametrize("resamples", [1, 2**32])
+    def test_single_resample_fails_before_the_pool_starts(self, runner, tmp_path, monkeypatch, resamples):
         def no_pool(*args, **kwargs):
             raise AssertionError("the process pool must not start")
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({
-            "periods": [10, 25], "snrs": [[1, 5]], "n": 100, "resamples": 1, "reps": 2, "seed": 3,
+            "periods": [10, 25], "snrs": [[1, 5]], "n": 100, "resamples": resamples, "reps": 2, "seed": 3,
         }))
         out = tmp_path / "x"
         result = runner.invoke(main, ["simulate", "--config", str(config), "--threads", "2",
@@ -642,8 +644,19 @@ REPS_LOG = ",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW + "\n"
     (REPS_LOG + REPS_ROW.replace("1,2,", "1,-2,", 1) + "\n", "reps.csv line 3: snr parts must be positive"),
     (REPS_LOG + REPS_ROW.replace("10,25,1,", "10,25,0.5,") + "\n", "reps.csv line 3: narrow_factor must be >= 1"),
     (REPS_LOG + "0,10,50,50,0.5,0,1,0.2,0.3,40,90\n", "reps.csv line 3: snr parts must be positive"),
+    # Rows no repetition writes, and cells that table1.csv and table2.csv could not hold.
+    (REPS_LOG + "1,2,10,25,1,1,-3,0.1,0.2,90,95\n", "reps.csv line 3: ci_ratio -3 is outside [0, inf]"),
+    (REPS_LOG + "1,2,10,25,1,1,1.5,1.5,0.2,90,95\n", "reps.csv line 3: outside_pbb 1.5 is outside [0, 1]"),
+    (REPS_LOG + "1,2,10,25,1,1,1.5,0.1,-0.2,90,95\n", "reps.csv line 3: outside_vmbpbb -0.2 is outside [0, 1]"),
+    (REPS_LOG + "1,2,10,25,1,1,1.5,0.1,0.2,90,-1\n", "reps.csv line 3: r2_vmbpbb -1 is outside [0, inf]"),
+    (REPS_LOG + "1,2,10,25,1,-1,1.5,0.1,0.2,90,95\n", "reps.csv line 3: rep -1 is negative or repeats"),
+    (REPS_LOG + REPS_ROW + "\n", "reps.csv line 3: rep 0 is negative or repeats within its cell"),
+    (REPS_LOG + REPS_ROW.replace("10,25", "25,10") + "\n", "reps.csv line 3: p1 25 is above p2 10"),
+    (REPS_LOG + "1,2,10,25,2,1,1.5,0.1,0.2,90,95\n", "reps.csv line 3: a second narrow_factor 2 for cell (10, 25)"),
 ], ids=["wrong-header", "ten-fields", "non-numeric", "header-only", "empty", "nan", "inf", "equal-periods",
-        "period-below-2", "zero-signal", "negative-noise", "narrow-factor-below-1", "every-rule-broken"])
+        "period-below-2", "zero-signal", "negative-noise", "narrow-factor-below-1", "every-rule-broken",
+        "negative-ci-ratio", "outside-above-1", "outside-below-0", "negative-r2", "negative-rep", "repeated-rep",
+        "descending-periods", "second-narrow-factor"])
 def test_malformed_rep_log_is_data_error(runner, tmp_path, text, where):
     src = tmp_path / "reps.csv"
     src.write_text(text)
@@ -675,6 +688,14 @@ def test_underscore_in_a_numeric_cell_is_data_error(runner, tmp_path, command, e
     assert result.stderr.startswith(f"error:data: {where} is not a number")
     assert len(result.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def test_rep_log_reads_r2_rounded_above_100(tmp_path):
+    # An exactly linear pair can square-correlate a few ulps above 100.
+    src = tmp_path / "reps.csv"
+    src.write_text(REPS_LOG.replace(",90,95", ",100.00000000000021,100"))
+    (cell,) = simulation.read_rep_log(src)
+    assert cell.records[0].r2_pbb == 100.00000000000021
 
 
 def test_rep_log_header_matches_like_a_series_header(tmp_path):

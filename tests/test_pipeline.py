@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmbpbb import (
     Mode,
@@ -11,7 +13,6 @@ from vmbpbb import (
     ScenarioConfig,
     SeedSpec,
     TimeSeries,
-    bootstrap_periodic_means,
     ci_band,
     energy_transfer,
     kzft_apply,
@@ -21,7 +22,8 @@ from vmbpbb import (
     run_scenario_detail,
     select_filter_specs,
 )
-from vmbpbb import pipeline
+from vmbpbb import bootstrap, pipeline
+from vmbpbb.bootstrap import MAX_RESAMPLES, bootstrap_periodic_means
 from vmbpbb.errors import InsufficientResamplesError, InvalidFilterError, InvalidPeriodError
 
 
@@ -253,6 +255,46 @@ class TestRunPaired:
                 assert comp_a.filter == comp_b.filter
                 np.testing.assert_array_equal(comp_a.component_series.values,
                                               comp_b.component_series.values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        periods=st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True),
+        resample=st.sampled_from(list(Resample)),
+        resamples=st.integers(2, 5),
+        extra=st.integers(0, 30),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_see_only_inputs_the_entry_rules_admit(self, periods, resample, resamples, extra,
+                                                          data_seed):
+        # _IndexBlocks and _phase_means check nothing, so every call a valid run makes
+        # must hold 2 <= p, 2p <= n and 1 <= B <= MAX_RESAMPLES by itself.
+        cfg = PipelineConfig(periods=periods, resamples=resamples, seed=SeedSpec(data_seed),
+                             resample=resample)
+        # The shortest series that meets every rule of mode_filters, plus a few samples.
+        lcm_rule = 2 * math.lcm(*periods) if resample is Resample.SERIES else 0
+        n = extra + max(2 * max(periods), lcm_rule, *(spec.support for spec in cfg.filters))
+        real_blocks, real_means = bootstrap._IndexBlocks, bootstrap._phase_means
+        calls = []
+
+        def check(where, n, p, count=1):
+            calls.append(where)
+            assert 2 <= p and 2 * p <= n and 1 <= count <= MAX_RESAMPLES, (where, n, p, count)
+
+        def index_blocks(n, p, count, seed):
+            check("_IndexBlocks", n, p, count)
+            return real_blocks(n, p, count, seed)
+
+        def phase_means(values, counts, out):
+            check("_phase_means", values.shape[-1], counts.size)
+            return real_means(values, counts, out)
+
+        values = np.random.default_rng(data_seed).normal(size=n)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (pipeline, bootstrap):
+                patch.setattr(module, "_IndexBlocks", index_blocks)
+                patch.setattr(module, "_phase_means", phase_means)
+            run_paired(TimeSeries(values - values.mean()), cfg)
+        assert set(calls) == {"_IndexBlocks", "_phase_means"}
 
 
 class TestSeriesResample:

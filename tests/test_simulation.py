@@ -6,13 +6,13 @@ from vmbpbb import (
     ScenarioConfig,
     SeedSpec,
     TimeSeries,
-    bootstrap_periodic_means,
     ci_ratio,
     generate_mpc,
     outside_fraction,
     run_grid,
     run_scenario_detail,
 )
+from vmbpbb.bootstrap import bootstrap_periodic_means
 from vmbpbb.errors import (
     DegenerateBandError,
     InsufficientResamplesError,

@@ -7,8 +7,8 @@ t mod p; slot draws are mutually independent. Repeating B times and taking the
 periodic mean of every resample yields the bootstrap distribution of the
 per-phase means.
 
-The resamples of one period are drawn in blocks of about 2**14 slots
-(_IndexBlocks), gathered from every series of a stack with one take, and
+The resamples of one period are drawn in blocks of about 2**14 slots and
+gathered from every series of a stack with one take (_resample_blocks), then
 averaged by series._phase_means, so the means are bit for bit those of the
 one-resample-at-a-time loop with np.bincount.
 """
@@ -186,11 +186,11 @@ class CIBand:
 _BLOCK_SLOTS = 2**14
 
 
-class _IndexBlocks:
-    """The resample index draw of a length-n series at period p, a block of rows at a time.
+def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec):
+    """The resamples of a (k, n) stack at period p, gathered a block of resamples at a time.
 
-    Resample b draws from its own sub-stream seed.child(b): its indices equal,
-    bit for bit,
+    Resample b draws one index vector from its own sub-stream seed.child(b)
+    and applies it to every row of values. Its indices equal, bit for bit,
 
         phases + p * Generator(PCG64(seq_b)).integers(0, counts[phases], size=n)
 
@@ -207,80 +207,67 @@ class _IndexBlocks:
     (validate_periods) and the resample count, pipeline.mode_filters the
     series length, for both p = period and p = lcm(periods).
 
-    Iterating yields (b, index) for b = 0, rows, 2 * rows, ...: index is an
-    (m, n) int64 array, m <= rows, holding the indices of resamples b to
-    b + m - 1. It is a buffer that the next block overwrites. A block stacks
-    its rows' raw PCG64 words into one word buffer and takes the Lemire step
-    over the whole block; a row that holds a rejected word (about 1e-4 of
-    rows at the hourly bounds) is redrawn by numpy itself.
+    Yields (b, block) for b = 0, rows, 2 * rows, ..., with rows about
+    _BLOCK_SLOTS // n: block is a (k, m, n) array, m <= rows, whose [i, j]
+    is row i of values gathered at the indices of resample b + j. It is a
+    buffer that the next block overwrites. A block stacks its resamples' raw
+    PCG64 words and takes the Lemire step over all of them at once; a
+    resample that holds a rejected word (about 1e-4 of them at the hourly
+    bounds) is redrawn by numpy itself.
     """
-
-    def __init__(self, n: int, p: int, resamples: int, seed: SeedSpec):
-        self.n, self.p = n, p
-        self.phases, self.counts = _phase_layout(n, p)
-        self.states = child_states(seed, np.arange(resamples, dtype=np.uint32))
-        self.rows = min(resamples, max(1, _BLOCK_SLOTS // n))
-
-    def __iter__(self):
-        n, p, rows, phases = self.n, self.p, self.rows, self.phases
-        bounds = self.counts[phases]
-        bound = bounds.astype(np.uint64)
-        low_bound = bounds.astype(np.uint32)
-        threshold = (np.uint64(2**32) % bound).astype(np.uint32)
-        # Any rejected word leaves a low product below the largest threshold.
-        screen = threshold.max()
-        base = phases.astype(np.uint64)
-        half = (n + 1) // 2
-        raw = np.empty((rows, half), dtype="<u8")
-        low = np.empty((rows, n), dtype=np.uint32)
-        index = np.empty((rows, n), dtype=np.uint64)
-        for b in range(0, self.states.shape[0], rows):
-            states = self.states[b:b + rows]
-            m = states.shape[0]
-            if m < rows:
-                raw, low, index = raw[:m], low[:m], index[:m]
-            draws = [np.random.PCG64(_ChildSeed(state)).random_raw(half) for state in states]
-            # A one-row block reads its words where PCG64 wrote them.
-            block = draws[0][None] if m == 1 else np.stack(draws, out=raw)
-            words = block.astype("<u8", copy=False).view("<u4")[:, :n]
-            # The product's low 32 bits, by uint32 wraparound.
-            np.multiply(words, low_bound, out=low)
-            np.multiply(words, bound, out=index)
-            index >>= 32
-            index *= p
-            index += base
-            if low.min() < screen:
-                for i in np.flatnonzero((low < threshold).any(axis=1)):
-                    generator = np.random.Generator(np.random.PCG64(_ChildSeed(states[i])))
-                    index[i] = phases + p * generator.integers(0, bounds, size=n)
-            yield b, index.view(np.int64)
+    k, n = values.shape
+    phases, counts = _phase_layout(n, p)
+    states = child_states(seed, np.arange(resamples, dtype=np.uint32))
+    rows = min(resamples, max(1, _BLOCK_SLOTS // n))
+    bounds = counts[phases]
+    bound = bounds.astype(np.uint64)
+    threshold = (np.uint64(2**32) % bound).astype(np.uint32)
+    # Any rejected word leaves a low product below the largest threshold.
+    screen = threshold.max()
+    base = phases.astype(np.uint64)
+    half = (n + 1) // 2
+    raw = np.empty((rows, half), dtype="<u8")
+    index = np.empty((rows, n), dtype="<u8")
+    block = np.empty((k, rows, n))
+    for b in range(0, resamples, rows):
+        batch = states[b:b + rows]
+        m = batch.shape[0]
+        if m < rows:
+            raw, index, block = raw[:m], index[:m], np.empty((k, m, n))
+        draws = [np.random.PCG64(_ChildSeed(state)).random_raw(half) for state in batch]
+        # A one-row block reads its words where PCG64 wrote them.
+        words = draws[0][None] if m == 1 else np.stack(draws, out=raw)
+        np.multiply(words.astype("<u8", copy=False).view("<u4")[:, :n], bound, out=index)
+        # The product's low 32 bits, the first half of each little-endian word.
+        low = index.view("<u4")[:, ::2]
+        rejected = np.flatnonzero((low < threshold).any(axis=1)) if low.min() < screen else ()
+        index >>= 32
+        index *= p
+        index += base
+        for i in rejected:
+            generator = np.random.Generator(np.random.PCG64(_ChildSeed(batch[i])))
+            index[i] = phases + p * generator.integers(0, bounds, size=n)
+        # The indices lie in range by construction; under the default "raise"
+        # mode numpy would gather into a temporary and copy it to out.
+        values.take(index.view("<i8"), axis=1, out=block, mode="clip")
+        yield b, block
 
 
 def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
     """Bootstrap the periodic means of k equal-length series with shared draws.
 
-    stack is a (k, n) array. Resample b draws one index vector, row b of
-    _IndexBlocks(n, p, resamples, seed), and applies it to every row, so
-    entry [i, b] holds the p phase means of row i resampled by draw b, and
-    series resampled together take the same draws. Returns a
-    (k, resamples, p) array. Each block of draws is gathered from all k rows
-    at once and averaged by _phase_means, bit for bit as np.bincount would.
-    n, p and resamples meet the preconditions of _IndexBlocks.
+    stack is a (k, n) array. Resample b draws one index vector and applies it
+    to every row (_resample_blocks), so entry [i, b] holds the p phase means
+    of row i resampled by draw b, and series resampled together take the same
+    draws. Returns a (k, resamples, p) array, averaged by _phase_means bit for
+    bit as np.bincount would. n, p and resamples meet the preconditions of
+    _resample_blocks.
     """
     values = np.asarray(stack, dtype=float)
-    k, n = values.shape
-    blocks = _IndexBlocks(n, p, resamples, seed)
-    rows = blocks.rows
-    gathered = np.empty((k, rows, n))
-    estimates = np.empty((k, blocks.states.shape[0], blocks.p))
-    for b, index in blocks:
-        m = index.shape[0]
-        if m < rows:
-            gathered = np.empty((k, m, n))
-        # The indices lie in range by construction; under the default "raise"
-        # mode numpy would gather into a temporary and copy it to out.
-        values.take(index, axis=1, out=gathered, mode="clip")
-        _phase_means(gathered, blocks.counts, estimates[:, b:b + m])
+    counts = _phase_layout(values.shape[1], p)[1]
+    estimates = np.empty((values.shape[0], resamples, p))
+    for b, block in _resample_blocks(values, p, resamples, seed):
+        _phase_means(block, counts, estimates[:, b:b + block.shape[1]])
     return estimates
 
 

@@ -1,12 +1,14 @@
 """Command-line interface: filter, run, simulate, transfer, report.
 
 Exit codes: 0 success, 2 configuration error (flags, config files, invalid
-arguments), 3 data error (malformed input CSV). Errors print one line to
-stderr in the form ``error:<category>: <message>``.
+arguments), 3 data error (malformed input CSV, or series values so large that
+the arithmetic of filter or run overflows). Errors print one line to stderr
+in the form ``error:<category>: <message>``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -68,6 +70,16 @@ def _cli_errors(func):
             sys.exit(2)
 
     return wrapper
+
+
+@contextlib.contextmanager
+def _finite_arithmetic(path):
+    """Raise CsvFormatError naming path where numpy arithmetic on its values overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CsvFormatError(f"{Path(path).name}: values too large to process: {exc}") from None
 
 
 def _parse_periods(text: str) -> tuple:
@@ -143,13 +155,13 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     if edge_policy is EdgePolicy.RENORMALIZE:
         for spec, name in zip(specs, names):
             check_window_fits(spec, series.n, f"filter {name}")
-    components = [reconstruct_component(kzft_apply(series, s, edge_policy)) for s in specs]
+    with _finite_arithmetic(input_csv):
+        components = [reconstruct_component(kzft_apply(series, s, edge_policy)) for s in specs]
 
     # Under TRUNCATE components may cover different time ranges; keep the overlap.
+    # It is never empty: TRUNCATE has rejected every window wider than the series.
     start = max(c.start_index for c in components)
     stop = min(c.start_index + c.n for c in components)
-    if stop <= start:
-        raise ConfigError("filter supports leave no common time range")
     columns = [range(start, stop)] + [c.values[start - c.start_index : stop - c.start_index] for c in components]
     write_rows_csv(output_path, ["t"] + names, columns)
     manifest = manifest_for(
@@ -191,7 +203,8 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
         alpha=alpha,
         resample=Resample(resample),
     )
-    result = run_pipeline(series, cfg)
+    with _finite_arithmetic(input_csv):
+        result = run_pipeline(series, cfg)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = range(series.start_index, series.start_index + series.n)
@@ -396,10 +409,12 @@ def cmd_transfer(spec_texts, grid_text, output_path):
     """Evaluate energy transfer curves on a frequency grid."""
     try:
         start, stop, count = grid_text.split(":")
-        start, stop = float(start), float(stop)
+        start, stop, count = float(start), float(stop), int(count)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("start and stop must be finite")
-        freqs = np.linspace(start, stop, int(count))
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        freqs = np.linspace(start, stop, count)
     except ValueError as exc:
         raise ConfigError(f"bad --grid value {grid_text!r}: {exc}") from exc
     specs = [_parse_spec(text) for text in spec_texts]

@@ -18,8 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bootstrap import (MAX_RESAMPLES, CIBand, SeedSpec, _IndexBlocks, bootstrap_phase_means,
-                        ci_band)
+from .bootstrap import MAX_RESAMPLES, CIBand, SeedSpec, _resample_blocks, bootstrap_phase_means, ci_band
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
@@ -125,8 +124,11 @@ def _components(series: TimeSeries, specs) -> list[TimeSeries]:
 
 def _check_grand_mean(series: TimeSeries) -> None:
     # mode_filters has checked n >= 2 * max(periods) >= 4, so the ddof=1 std is defined.
-    se = float(np.std(series.values, ddof=1)) / math.sqrt(series.n)
-    if abs(float(series.values.mean())) > 3.0 * se:
+    # Scaling by a power of two is exact, so the test reads the same at any
+    # magnitude, and the std's squares cannot overflow.
+    values = np.ldexp(series.values, -np.frexp(np.abs(series.values).max())[1])
+    se = float(np.std(values, ddof=1)) / math.sqrt(series.n)
+    if abs(float(values.mean())) > 3.0 * se:
         warnings.warn(
             "input series has a grand mean more than 3 standard errors from zero; "
             "summing per-period bootstraps counts that mean once per component "
@@ -183,15 +185,14 @@ def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> d
 
     Row b holds the phase means of the mode's filter (specs entry; None =
     all-pass) applied to draw b of the series at L = lcm(periods), made on
-    sub-stream cfg.seed.child(0, b) (_IndexBlocks). Each block of draws is
+    sub-stream cfg.seed.child(0, b) (_resample_blocks). Each block of draws is
     gathered once and filtered by every mode, row by row, with the arithmetic
     of reconstruct_component(kzft_apply(draw, spec)).
     """
-    blocks = _IndexBlocks(series.n, math.lcm(*cfg.periods), cfg.resamples, cfg.seed.child(_SERIES_STREAM))
     counts = {p: _phase_layout(series.n, p)[1] for p in cfg.periods}
     estimates = {mode: {p: np.empty((cfg.resamples, p)) for p in cfg.periods} for mode in specs}
-    for b, index in blocks:
-        draws = series.values[index]
+    for b, (draws,) in _resample_blocks(series.values[None], math.lcm(*cfg.periods), cfg.resamples,
+                                        cfg.seed.child(_SERIES_STREAM)):
         for mode, mode_specs in specs.items():
             for p, spec in zip(cfg.periods, mode_specs):
                 comps = draws if spec is None else np.array([2.0 * _kzft_values(row, spec).real for row in draws])
@@ -209,7 +210,6 @@ def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
     """Run the pipeline of every mode in modes on one series with shared draws."""
     n = series.n
     specs = mode_filters(cfg, n, modes)
-    _check_grand_mean(series)
 
     comps = {mode: _components(series, specs[mode]) for mode in modes}
     if cfg.resample is Resample.SERIES:
@@ -241,6 +241,8 @@ def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
             aggregate_band=_tiled_band(ci_band(trajectories, cfg.alpha), tile),
             mode=mode,
         )
+    # Only a run that completes warns, so a failed run reports its error alone.
+    _check_grand_mean(series)
     return results
 
 

@@ -16,7 +16,7 @@ from vmbpbb import (
     ci_band,
 )
 from vmbpbb import bootstrap
-from vmbpbb.bootstrap import (_ChildSeed, _IndexBlocks, bootstrap_periodic_means, bootstrap_phase_means,
+from vmbpbb.bootstrap import (_ChildSeed, _resample_blocks, bootstrap_periodic_means, bootstrap_phase_means,
                               child_states)
 from vmbpbb.errors import InsufficientResamplesError, InvalidPeriodError
 from vmbpbb.series import _frozen_array
@@ -59,11 +59,14 @@ def pbb_resample(series: TimeSeries, p: int, rng: np.random.Generator) -> TimeSe
 
 
 def index_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
-    """The library's draw: every row of _IndexBlocks, copied out of its block buffer.
+    """The library's draw: the indices of every resample, read off _resample_blocks.
 
-    Like every caller of _IndexBlocks, the tests hold 2 <= p and 2p <= n.
+    Gathering the series 0, 1, ..., n - 1 recovers each resample's indices.
+    Like every caller of _resample_blocks, the tests hold 2 <= p and 2p <= n.
     """
-    return [row.copy() for _, block in _IndexBlocks(n, p, resamples, seed) for row in block]
+    positions = np.arange(n, dtype=float)[None]
+    return [row.astype(np.int64) for _, (block,) in _resample_blocks(positions, p, resamples, seed)
+            for row in block]
 
 
 def quantile_oracle(values, q):
@@ -124,7 +127,7 @@ class TestPhasePartition:
 
 
 class TestPbbResample:
-    """The periodic block bootstrap draw, as the library makes it (_IndexBlocks rows)."""
+    """The periodic block bootstrap draw, as the library makes it (_resample_blocks)."""
 
     def test_constant_series(self):
         series = TimeSeries([2.0] * 9)
@@ -147,7 +150,7 @@ class TestPbbResample:
         rng = SeedSpec(p, (n,)).generator()
         drawn_by = {
             "pbb_resample": [pbb_resample(series, p, rng).values.astype(int) for _ in range(200)],
-            "_IndexBlocks": index_rows(n, p, 200, SeedSpec(n, (p,))),
+            "_resample_blocks": index_rows(n, p, 200, SeedSpec(n, (p,))),
         }
         for source, rows in drawn_by.items():
             for s, subset in enumerate(part.subsets):
@@ -173,7 +176,7 @@ def numpy_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
 
 
 class TestResampleIndicesDraw:
-    """The rows of _IndexBlocks against numpy's own bounded integers."""
+    """The draws of _resample_blocks against numpy's own bounded integers."""
 
     def assert_rows_equal_numpy(self, n, p, resamples, seed):
         rows = index_rows(n, p, resamples, seed)
@@ -341,7 +344,13 @@ class TestBlockDraw:
         # Five rows a block: row 0 opens the first block, row 232 sits mid-way in rows 230..234.
         monkeypatch.setattr(bootstrap, "_BLOCK_SLOTS", 5 * n)
         stack = spread_stack(2, n, 430)
-        assert_same_bits(bootstrap_phase_means(stack, p, 235, seed), reference_phase_means(stack, p, 235, seed))
+        want = reference_phase_means(stack, p, 235, seed)
+        redraws = []
+        real_generator = np.random.Generator
+        monkeypatch.setattr(np.random, "Generator", lambda bits: redraws.append(bits) or real_generator(bits))
+        assert_same_bits(bootstrap_phase_means(stack, p, 235, seed), want)
+        # numpy redraws those two rows, and no other.
+        assert len(redraws) == 2
 
     # At 13 slots a block holds 1 row, or 2 at n = 5 and 6; at 2**20, all 45.
     @pytest.mark.parametrize("k,n,p", [(2, 1000, 50), (3, 61, 6), (1, 50, 25), (2, 5, 2), (1, 6, 3)])

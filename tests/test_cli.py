@@ -303,6 +303,55 @@ class TestRunCommand:
         assert "error:config:" in result.output
 
 
+class TestHugeValues:
+    """Finite inputs whose arithmetic overflows, and inputs large enough to have overflowed the checks."""
+
+    # Square waves of amplitude 1e306 at period 25, and of 1.7e308 at period 2.
+    @pytest.mark.parametrize("command,amplitude,cycle,periods", [
+        ("run", 1e306, 25, "10,25"),
+        ("run", 1.7e308, 2, "2,3"),
+        ("filter", 1.7e308, 2, "2,3"),
+    ], ids=["run-1e306", "run-1.7e308", "filter-1.7e308"])
+    def test_overflowing_arithmetic_is_data_error(self, runner, tmp_path, command, amplitude, cycle, periods):
+        src = tmp_path / "huge.csv"
+        t = np.arange(1000)
+        write_series(src, np.where(t % cycle < cycle / 2, amplitude, -amplitude))
+        out = tmp_path / ("out.csv" if command == "filter" else "out")
+        args = [command, str(src), "--periods", periods, "-o", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args + (["--seed", "1"] if command == "run" else []))
+        assert caught == []
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:data: huge.csv: values too large to process: overflow")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_values_scaled_by_a_power_of_two_run_the_same(self, runner, tmp_path):
+        # Every step of a run is linear, so 2**664 (about 1e200) times the
+        # input gives exactly 2**664 times every band, and the grand-mean test
+        # reads the same: the offset below makes it warn at either scale.
+        t = np.arange(1000)
+        values = np.sin(2 * np.pi * t / 10) + np.random.default_rng(7).normal(size=1000) + 0.5
+        bands = {}
+        for scale in (1.0, 2.0**664):
+            src = tmp_path / f"in{scale:g}.csv"
+            write_series(src, scale * values)
+            out = tmp_path / f"out{scale:g}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = runner.invoke(main, ["run", str(src), "--periods", "10,25", "--resamples", "40",
+                                              "--seed", "2", "-o", str(out)])
+            assert result.exit_code == 0, result.output
+            assert [w.category for w in caught] == [UserWarning]
+            assert "grand mean" in str(caught[0].message)
+            bands[scale] = [np.array(rows, dtype=float)[:, 1:] for name in ("aggregate", "component_p10")
+                            for _, rows in [read_columns(out / f"{name}.csv")]]
+        for unit, scaled in zip(bands[1.0], bands[2.0**664]):
+            np.testing.assert_array_equal(scaled, 2.0**664 * unit)
+
+
 class TestSimulateAndReport:
     @pytest.fixture
     def grid_outputs(self, runner, tmp_path):
@@ -585,6 +634,14 @@ class TestTransferCommand:
         assert result.stderr == f"error:config: bad --grid value {grid!r}: start and stop must be finite\n"
         assert not out.exists()
 
+    def test_empty_grid_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "tr.csv"
+        result = runner.invoke(main, ["transfer", "--spec", "m=3,k=1", "--grid", "0:0.5:0", "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error:config: bad --grid value '0:0.5:0': count must be at least 1\n"
+        assert not out.exists()
+
 
 def test_version_is_the_same_everywhere(runner, tmp_path):
     tomllib = pytest.importorskip("tomllib")
@@ -620,6 +677,74 @@ def test_non_utf8_input_is_data_error(runner, tmp_path, command, extra):
     assert result.stdout == ""
     assert result.stderr.startswith("error:data: latin1.csv: not UTF-8 text")
     assert len(result.stderr.splitlines()) == 1
+
+
+# A grid config small enough to simulate in a moment; periods 10 and 25 at
+# noise 2 are narrowed only when paper_faithful is true.
+GRID = {"periods": [10, 25], "snrs": [[1, 2]], "n": 100, "resamples": 4, "reps": 1, "seed": 3}
+DROPPED = object()
+
+
+def grid_with(**changes):
+    return {key: value for key, value in {**GRID, **changes}.items() if value is not DROPPED}
+
+
+@pytest.mark.parametrize("args,config,category", [
+    (["run", "series.csv", "--periods", "10,x", "--seed", "1"], None, "config"),
+    (["run", "series.csv", "--periods", "10,25", "--alpha", "1.5", "--seed", "1"], None, "config"),
+    (["run", "nan.csv", "--periods", "10,25", "--seed", "1"], None, "data"),
+    (["filter", "series.csv", "--spec", "m=3,k"], None, "config"),
+    (["filter", "series.csv", "--spec", "m=3,k=1,q=2"], None, "config"),
+    (["filter", "series.csv", "--spec", "m=3"], None, "config"),
+    (["filter", "series.csv", "--spec", "k=1"], None, "config"),
+    (["filter", "series.csv", "--spec", "m=3,k=1,nu=0.7"], None, "config"),
+    (["simulate", "--config", "grid.json"], [GRID], "config"),
+    (["simulate", "--config", "missing.json"], None, "config"),
+    (["simulate", "--config", "grid.json"], grid_with(window=3), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(periods=DROPPED), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(snrs=DROPPED), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(narrow_factor="x"), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(paper_faithful=1), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(reps=0), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(seed=DROPPED), "config"),
+], ids=["run-period-not-integer", "run-alpha-above-1", "run-nan-value", "spec-token-without-equals",
+        "spec-unknown-key", "spec-without-k", "spec-without-m", "spec-nu-above-half", "grid-not-object",
+        "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
+        "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed"])
+def test_malformed_input_exits_with_one_error_line(runner, tmp_path, args, config, category):
+    write_series(tmp_path / "series.csv", np.sin(np.arange(100.0)))
+    (tmp_path / "nan.csv").write_text("t,value\n" + "".join(f"{t},{t % 3}\n" for t in range(99)) + "99,nan\n")
+    if config is not None:
+        (tmp_path / "grid.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    args = [str(tmp_path / arg) if arg.endswith((".csv", ".json")) else arg for arg in args]
+    result = runner.invoke(main, [*args, "-o", str(out)])
+    assert result.exit_code == {"config": 2, "data": 3}[category]
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error:{category}: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,in_file,overridden", [
+    (["--seed", "8"], {"seed": 3}, {"seed": 8}),
+    (["--no-paper-faithful"], {"paper_faithful": True}, {"paper_faithful": False}),
+    (["--paper-faithful"], {"paper_faithful": False}, {"paper_faithful": True}),
+])
+def test_simulate_flag_overrides_the_config(runner, tmp_path, flag, in_file, overridden):
+    def simulate(name, config, extra=()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(grid_with(**config)))
+        out = tmp_path / name
+        result = runner.invoke(main, ["simulate", "--config", str(path), *extra, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        return {name: (out / name).read_bytes() for name in ("table1.csv", "table2.csv", "coverage.csv",
+                                                             "cells.csv", "reps.csv")}
+
+    flagged = simulate("flagged", in_file, flag)
+    assert flagged == simulate("written", overridden)
+    # The flag has something to override: the file's own value gives other bytes.
+    assert flagged != simulate("unflagged", in_file)
 
 
 REPS_ROW = "1,2,10,25,1,0,1.5,0.1,0.2,90,95"

@@ -78,19 +78,3 @@ def test_partial_cycle_band_pinned(mode, resample):
                          resample=resample)
     result = run_pipeline(hourly_series(), cfg)
     assert result_digest(result) == BAND_DIGESTS[(mode, resample)]
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 10, 20, 41, 100, 1000])
-def test_scalar_bound_draws_equal_array_bound_draws(count):
-    # The bootstrap draws offsets with a scalar bound when every phase holds
-    # the same count, which is only byte-safe while numpy draws both forms
-    # from the stream identically.
-    for n in (1, 7, 1000):
-        a = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(n,))))
-        b = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(n,))))
-        scalar = a.integers(0, count, size=n)
-        array = b.integers(0, np.full(n, count))
-        assert scalar.dtype == array.dtype
-        np.testing.assert_array_equal(scalar, array)
-        # Both forms must also leave the stream at the same place.
-        assert a.bit_generator.state == b.bit_generator.state

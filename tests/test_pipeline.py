@@ -266,23 +266,23 @@ class TestRunPaired:
     )
     def test_kernels_see_only_inputs_the_entry_rules_admit(self, periods, resample, resamples, extra,
                                                           data_seed):
-        # _IndexBlocks and _phase_means check nothing, so every call a valid run makes
+        # _resample_blocks and _phase_means check nothing, so every call a valid run makes
         # must hold 2 <= p, 2p <= n and 1 <= B <= MAX_RESAMPLES by itself.
         cfg = PipelineConfig(periods=periods, resamples=resamples, seed=SeedSpec(data_seed),
                              resample=resample)
         # The shortest series that meets every rule of mode_filters, plus a few samples.
         lcm_rule = 2 * math.lcm(*periods) if resample is Resample.SERIES else 0
         n = extra + max(2 * max(periods), lcm_rule, *(spec.support for spec in cfg.filters))
-        real_blocks, real_means = bootstrap._IndexBlocks, bootstrap._phase_means
+        real_blocks, real_means = bootstrap._resample_blocks, bootstrap._phase_means
         calls = []
 
         def check(where, n, p, count=1):
             calls.append(where)
             assert 2 <= p and 2 * p <= n and 1 <= count <= MAX_RESAMPLES, (where, n, p, count)
 
-        def index_blocks(n, p, count, seed):
-            check("_IndexBlocks", n, p, count)
-            return real_blocks(n, p, count, seed)
+        def resample_blocks(values, p, count, seed):
+            check("_resample_blocks", values.shape[-1], p, count)
+            return real_blocks(values, p, count, seed)
 
         def phase_means(values, counts, out):
             check("_phase_means", values.shape[-1], counts.size)
@@ -291,10 +291,10 @@ class TestRunPaired:
         values = np.random.default_rng(data_seed).normal(size=n)
         with pytest.MonkeyPatch.context() as patch:
             for module in (pipeline, bootstrap):
-                patch.setattr(module, "_IndexBlocks", index_blocks)
+                patch.setattr(module, "_resample_blocks", resample_blocks)
                 patch.setattr(module, "_phase_means", phase_means)
             run_paired(TimeSeries(values - values.mean()), cfg)
-        assert set(calls) == {"_IndexBlocks", "_phase_means"}
+        assert set(calls) == {"_resample_blocks", "_phase_means"}
 
 
 class TestSeriesResample:

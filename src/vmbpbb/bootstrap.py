@@ -287,14 +287,37 @@ def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: S
 def ci_band(samples, alpha: float = 0.05) -> CIBand:
     """Pointwise band from a (B, columns) array: empirical alpha/2 and 1-alpha/2 quantiles.
 
-    Quantiles interpolate linearly between order statistics at rank
-    h = (B-1)*q + 1 (1-based); the point estimate is the per-column mean.
+    The bounds are bit for bit np.quantile(samples, q, axis=0,
+    method="linear"), taken from one in-place sort of a C-contiguous
+    (columns, B) copy rather than numpy's strided partition of every column.
+    Each tail follows numpy's linear rule with numpy's own expressions: the
+    virtual index v = (B-1)*q in float64, the order statistics a and b at
+    i = floor(v) and min(i+1, B-1), g = v - i, and the result a + (b-a)*g,
+    replaced by b - (b-a)*(1-g) where g >= 0.5 (numpy's _lerp). A column
+    whose largest sorted value is NaN gets NaN, as in numpy. The point
+    estimate is the per-column mean of samples as given, since the sorted
+    copy would add in another order.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.shape[0] < 2:
+    resamples = arr.shape[0]
+    if resamples < 2:
         raise InsufficientResamplesError("quantile bands need at least 2 resamples")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    lower, upper = np.quantile(arr, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="linear")
+    ordered = np.ascontiguousarray(arr.T)
+    ordered.sort(axis=-1)
+    has_nan = np.isnan(ordered[..., -1])
+    bounds = []
+    for v in (resamples - 1) * np.array([alpha / 2.0, 1.0 - alpha / 2.0]):
+        i = int(np.floor(v))
+        g = v - i
+        a, b = ordered[..., i], ordered[..., min(i + 1, resamples - 1)]
+        diff = b - a
+        # numpy's _lerp evaluates both forms and keeps the second where g >= 0.5,
+        # so both are evaluated here too: they raise the same floating-point errors.
+        bound = a + diff * g
+        if g >= 0.5:
+            bound = b - diff * (1 - g)
+        bounds.append(np.where(has_nan, np.nan, bound))
     point = arr.mean(axis=0)
-    return CIBand(lower=lower, point=point, upper=upper, alpha=alpha)
+    return CIBand(lower=bounds[0], point=point, upper=bounds[1], alpha=alpha)

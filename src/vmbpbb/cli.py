@@ -1,9 +1,10 @@
 """Command-line interface: filter, run, simulate, transfer, report.
 
 Exit codes: 0 success, 2 configuration error (flags, config files, invalid
-arguments), 3 data error (malformed input CSV, or series values so large that
-the arithmetic of filter or run overflows). Errors print one line to stderr
-in the form ``error:<category>: <message>``.
+arguments, or arguments that need more memory than can be allocated), 3 data
+error (malformed input CSV, or series values so large that the arithmetic of
+filter or run overflows). Errors print one line to stderr in the form
+``error:<category>: <message>``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ def _cli_errors(func):
             sys.exit(3)
         except (ValueError, OSError) as exc:
             click.echo(f"error:config: {exc}", err=True)
+            sys.exit(2)
+        except MemoryError as exc:
+            # Arguments that ask for more memory than the host has, such as a huge --grid count.
+            click.echo(f"error:config: out of memory: {exc}", err=True)
             sys.exit(2)
 
     return wrapper
@@ -203,13 +208,14 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
         alpha=alpha,
         resample=Resample(resample),
     )
+    # Component bands are built on first read, so they are read under the overflow check too.
     with _finite_arithmetic(input_csv):
         result = run_pipeline(series, cfg)
+        bands = [(f"component_p{c.period}.csv", c.band) for c in result.components]
+    bands.append(("aggregate.csv", result.aggregate_band))
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = range(series.start_index, series.start_index + series.n)
-    bands = [(f"component_p{c.period}.csv", c.band) for c in result.components]
-    bands.append(("aggregate.csv", result.aggregate_band))
     for name, band in bands:
         write_rows_csv(outdir / name, ["t", "lower", "point", "upper"],
                        [times, band.lower, band.point, band.upper])

@@ -11,6 +11,7 @@ default) or the whole input series are resampled.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -93,14 +94,24 @@ class PipelineConfig:
 class ComponentResult:
     """One period's component: its filter (None = all-pass), series, bootstrap, band.
 
-    estimates is the read-only (resamples, period) matrix of bootstrap phase means.
+    estimates is the read-only (resamples, period) matrix of bootstrap phase
+    means, and alpha the band's level.
     """
 
     period: int
     filter: FilterSpec | None
     component_series: TimeSeries
     estimates: np.ndarray
-    band: CIBand
+    alpha: float
+
+    @functools.cached_property
+    def band(self) -> CIBand:
+        """The per-phase quantile band tiled out to the series length, built on first read.
+
+        A paired repetition reads only the aggregate bands, so it builds none of these.
+        """
+        return _tiled_band(ci_band(self.estimates, self.alpha),
+                           np.arange(self.component_series.n) % self.period)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,10 +238,8 @@ def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
         for p, spec, comp in zip(cfg.periods, specs[mode], comps[mode]):
             est = estimates[mode][p]
             est.setflags(write=False)
-            components.append(ComponentResult(
-                period=p, filter=spec, component_series=comp, estimates=est,
-                band=_tiled_band(ci_band(est, cfg.alpha), np.arange(n) % p),
-            ))
+            components.append(ComponentResult(period=p, filter=spec, component_series=comp,
+                                              estimates=est, alpha=cfg.alpha))
         # Summing in ascending-period order keeps the aggregate bit-identical
         # under any permutation of cfg.periods.
         trajectories = np.zeros((cfg.resamples, cycle))

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmbpbb import (
+    CIBand,
     PipelineConfig,
     SeedSpec,
     TimeSeries,
@@ -67,6 +68,32 @@ def index_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
     positions = np.arange(n, dtype=float)[None]
     return [row.astype(np.int64) for _, (block,) in _resample_blocks(positions, p, resamples, seed)
             for row in block]
+
+
+def quantile_band(samples, alpha):
+    """Reference oracle: the band from np.quantile's linear method and the per-column mean."""
+    arr = np.asarray(samples, dtype=float)
+    lower, upper = np.quantile(arr, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="linear")
+    return CIBand(lower=lower, point=arr.mean(axis=0), upper=upper, alpha=alpha)
+
+
+def band_or_error(build, samples, alpha):
+    """build(samples, alpha), or the type of the exception it raises."""
+    try:
+        return build(samples, alpha)
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc)
+
+
+def band_column(kind: str, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=resamples)
+    if kind == "ties":
+        return rng.integers(-2, 3, size=resamples) * 0.5
+    if kind == "constant":
+        return np.full(resamples, rng.normal())
+    # -0.0 without +0.0: every zero tie has one bit pattern.
+    return rng.choice([-0.0, -1.5, 2.0], size=resamples)
 
 
 def quantile_oracle(values, q):
@@ -496,6 +523,74 @@ class TestCiBand:
     def test_needs_two_rows(self):
         with pytest.raises(InsufficientResamplesError):
             ci_band(np.ones((1, 4)))
+
+    @given(
+        resamples=st.one_of(st.integers(2, 12), st.integers(13, 2000)),
+        kinds=st.lists(st.sampled_from(["normal", "ties", "constant", "negative zeros"]), min_size=1, max_size=5),
+        alpha=st.one_of(st.sampled_from([0.05, 0.1, 0.5]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    # (B - 1) * q is exactly 5.0 and 195.0: g = 0 at both tails.
+    @example(resamples=201, kinds=["normal", "ties"], alpha=0.05, data_seed=0)
+    # (B - 1) * q is exactly 0.5 and 1.5: g = 0.5, the branch point of numpy's _lerp.
+    @example(resamples=3, kinds=["normal", "negative zeros"], alpha=0.5, data_seed=1)
+    @example(resamples=2, kinds=["constant"], alpha=0.05, data_seed=2)
+    @settings(max_examples=80, deadline=None)
+    def test_bits_equal_np_quantile(self, resamples, kinds, alpha, data_seed):
+        rng = np.random.default_rng(data_seed)
+        samples = np.stack([band_column(kind, resamples, rng) for kind in kinds], axis=1)
+        got, want = ci_band(samples, alpha), quantile_band(samples, alpha)
+        for name in ("lower", "point", "upper"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        assert got.alpha == alpha
+
+    def test_one_dimensional_samples_give_one_column(self):
+        samples = np.random.default_rng(4).normal(size=37)
+        got, want = ci_band(samples, 0.1), quantile_band(samples, 0.1)
+        for name in ("lower", "point", "upper"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        assert got.n == 1
+
+    @given(
+        resamples=st.integers(2, 300),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_signed_zero_ties_agree_up_to_sign(self, resamples, alpha, data_seed):
+        """A column holding both -0.0 and +0.0 may give a zero bound of the other sign than np.quantile.
+
+        The two zeros compare equal, so which one lands at an order statistic
+        depends on the algorithm: a sort and numpy's partition place them
+        differently, and the linear rule returns -0.0 only where g >= 0.5 and
+        both neighbours are -0.0. So the bounds are compared as values, not
+        bits. Pipelines never pass -0.0: series._phase_means adds +0.0.
+        """
+        samples = np.random.default_rng(data_seed).choice([-0.0, 0.0, 1.0], size=(resamples, 4))
+        got, want = ci_band(samples, alpha), quantile_band(samples, alpha)
+        np.testing.assert_array_equal(got.lower, want.lower)
+        np.testing.assert_array_equal(got.upper, want.upper)
+        assert_same_bits(got.point, want.point)
+
+    @given(
+        resamples=st.integers(2, 300),
+        special=st.sampled_from([np.inf, -np.inf, np.nan]),
+        count=st.integers(1, 300),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        errors=st.sampled_from(["ignore", "raise"]),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_column_raises_as_np_quantile(self, resamples, special, count, alpha, errors, data_seed):
+        # Under "raise", as vmbpbb run sets it, an infinity can fail the arithmetic before CIBand's
+        # finiteness check; either way both paths must raise the same error.
+        rng = np.random.default_rng(data_seed)
+        samples = rng.normal(size=(resamples, 3))
+        samples[rng.integers(0, resamples, size=count), 1] = special
+        with np.errstate(over=errors, invalid=errors):
+            got, want = band_or_error(ci_band, samples, alpha), band_or_error(quantile_band, samples, alpha)
+        assert got is want
+        assert issubclass(got, (ValueError, FloatingPointError))
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):

@@ -634,6 +634,22 @@ class TestTransferCommand:
         assert result.stderr == f"error:config: bad --grid value {grid!r}: start and stop must be finite\n"
         assert not out.exists()
 
+    def test_grid_too_large_to_allocate_is_config_error(self, runner, tmp_path, monkeypatch):
+        # The failure is injected: a real allocation of this size could be killed
+        # by the host's out-of-memory handler instead of raising MemoryError.
+        def linspace(start, stop, count):
+            raise MemoryError(f"Unable to allocate an array with shape ({count},) and data type float64")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        out = tmp_path / "tr.csv"
+        result = runner.invoke(main, ["transfer", "--spec", "m=3,k=1", "--grid", "0:0.5:100000000000",
+                                      "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error:config: out of memory: Unable to allocate an array with shape "
+                                 "(100000000000,) and data type float64\n")
+        assert not out.exists()
+
     def test_empty_grid_is_config_error(self, runner, tmp_path):
         out = tmp_path / "tr.csv"
         result = runner.invoke(main, ["transfer", "--spec", "m=3,k=1", "--grid", "0:0.5:0", "-o", str(out)])

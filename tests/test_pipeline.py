@@ -297,6 +297,49 @@ class TestRunPaired:
         assert set(calls) == {"_resample_blocks", "_phase_means"}
 
 
+class TestComponentBands:
+    """Component bands are built on first read; a paired repetition reads only the aggregates."""
+
+    def test_paired_desk_repetition_builds_two_bands(self, monkeypatch):
+        shapes = []
+        real = pipeline.ci_band
+
+        def counting(samples, alpha):
+            shapes.append(np.shape(samples))
+            return real(samples, alpha)
+
+        monkeypatch.setattr(pipeline, "ci_band", counting)
+        run_scenario_detail(ScenarioConfig(p1=50, p2=100, snr=(1, 10), reps=1, seed=SeedSpec(42)))
+        # One aggregate band per mode, over lcm(50, 100) = 100 columns.
+        assert shapes == [(200, 100), (200, 100)]
+
+    def test_band_is_built_once(self, monkeypatch):
+        series = TimeSeries(np.random.default_rng(3).normal(size=200))
+        result = run_pipeline(series, PipelineConfig(periods=(4, 10), resamples=20, seed=SeedSpec(1)))
+        calls = []
+        real = pipeline.ci_band
+        monkeypatch.setattr(pipeline, "ci_band", lambda samples, alpha: calls.append(1) or real(samples, alpha))
+        comp = result.components[0]
+        assert comp.band is comp.band
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("resample", list(Resample))
+    def test_bands_equal_the_eager_construction(self, mode, resample):
+        n = 300
+        t = np.arange(n)
+        series = TimeSeries(np.sin(2 * np.pi * t / 12) + np.random.default_rng(5).normal(size=n))
+        cfg = PipelineConfig(periods=(12, 5), resamples=40, seed=SeedSpec(9), mode=mode, alpha=0.1,
+                             resample=resample)
+        for comp in run_pipeline(series, cfg).components:
+            want = pipeline._tiled_band(ci_band(comp.estimates, 0.1), np.arange(n) % comp.period)
+            assert comp.band.alpha == 0.1
+            for name in ("lower", "point", "upper"):
+                got_values, want_values = getattr(comp.band, name), getattr(want, name)
+                assert got_values.shape == (n,)
+                np.testing.assert_array_equal(got_values.view(np.uint64), want_values.view(np.uint64))
+
+
 class TestSeriesResample:
     def noisy_series(self, n=600):
         rng = np.random.default_rng(31)

@@ -293,10 +293,11 @@ def ci_band(samples, alpha: float = 0.05) -> CIBand:
     Each tail follows numpy's linear rule with numpy's own expressions: the
     virtual index v = (B-1)*q in float64, the order statistics a and b at
     i = floor(v) and min(i+1, B-1), g = v - i, and the result a + (b-a)*g,
-    replaced by b - (b-a)*(1-g) where g >= 0.5 (numpy's _lerp). A column
-    whose largest sorted value is NaN gets NaN, as in numpy. The point
-    estimate is the per-column mean of samples as given, since the sorted
-    copy would add in another order.
+    replaced by b - (b-a)*(1-g) where g >= 0.5 (numpy's _lerp). numpy gives
+    a column holding NaN NaN bounds; here its bounds may be finite, but its
+    mean is NaN, so CIBand rejects it either way. The point estimate is the
+    per-column mean of samples as given, since the sorted copy would add in
+    another order.
     """
     arr = np.asarray(samples, dtype=float)
     resamples = arr.shape[0]
@@ -306,7 +307,6 @@ def ci_band(samples, alpha: float = 0.05) -> CIBand:
         raise ValueError("alpha must lie strictly between 0 and 1")
     ordered = np.ascontiguousarray(arr.T)
     ordered.sort(axis=-1)
-    has_nan = np.isnan(ordered[..., -1])
     bounds = []
     for v in (resamples - 1) * np.array([alpha / 2.0, 1.0 - alpha / 2.0]):
         i = int(np.floor(v))
@@ -318,6 +318,6 @@ def ci_band(samples, alpha: float = 0.05) -> CIBand:
         bound = a + diff * g
         if g >= 0.5:
             bound = b - diff * (1 - g)
-        bounds.append(np.where(has_nan, np.nan, bound))
+        bounds.append(bound)
     point = arr.mean(axis=0)
     return CIBand(lower=bounds[0], point=point, upper=bounds[1], alpha=alpha)

@@ -4,16 +4,15 @@ Exit codes: 0 success, 2 configuration error (flags, config files, invalid
 arguments, or arguments that need more memory than can be allocated), 3 data
 error (malformed input CSV, or series values so large that the arithmetic of
 filter or run overflows). Errors print one line to stderr in the form
-``error:<category>: <message>``.
+``error:<category>: <message>``; click's usage errors and a bare ``vmbpbb``
+are config errors too. One boundary on the command group maps them all.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -43,38 +42,36 @@ from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
 from .simulation import REPS_HEADER, read_rep_log, rep_columns, run_grid
 
 
-def _parse_threads(value) -> int:
-    """Worker count from --threads, else $VMBPBB_THREADS, else 1; must be an integer >= 1."""
-    if value is None:
-        source, value = "VMBPBB_THREADS", os.environ.get("VMBPBB_THREADS", "1")
-    else:
-        source = "--threads"
+@contextlib.contextmanager
+def _exit_contract():
+    """Turn an error into one ``error:<category>:`` line on stderr and its exit code."""
     try:
-        threads = int(value)
-    except ValueError:
-        raise ConfigError(f"bad {source} value {value!r}: expected an integer >= 1") from None
-    if threads < 1:
-        raise ConfigError(f"bad {source} value {value!r}: expected an integer >= 1")
-    return threads
+        yield
+    except click.ClickException as exc:
+        click.echo(f"error:config: {exc.format_message()}", err=True)
+        sys.exit(2)
+    except CsvFormatError as exc:
+        click.echo(f"error:data: {exc}", err=True)
+        sys.exit(3)
+    except (ValueError, OSError) as exc:
+        click.echo(f"error:config: {exc}", err=True)
+        sys.exit(2)
+    except MemoryError as exc:
+        # Arguments that ask for more memory than the host has, such as a huge --grid count.
+        click.echo(f"error:config: out of memory: {exc}", err=True)
+        sys.exit(2)
 
 
-def _cli_errors(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except CsvFormatError as exc:
-            click.echo(f"error:data: {exc}", err=True)
-            sys.exit(3)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error:config: {exc}", err=True)
-            sys.exit(2)
-        except MemoryError as exc:
-            # Arguments that ask for more memory than the host has, such as a huge --grid count.
-            click.echo(f"error:config: out of memory: {exc}", err=True)
-            sys.exit(2)
+class _Main(click.Group):
+    """The command group; parsing and invoke (which parses and runs a subcommand) run inside _exit_contract."""
 
-    return wrapper
+    def make_context(self, info_name, args, parent=None, **extra):
+        with _exit_contract():
+            return super().make_context(info_name, args, parent, **extra)
+
+    def invoke(self, ctx):
+        with _exit_contract():
+            return super().invoke(ctx)
 
 
 @contextlib.contextmanager
@@ -129,7 +126,7 @@ def _snr_label(snr) -> str:
     return f"{snr[0]:g}:{snr[1]:g}"
 
 
-@click.group()
+@click.group(cls=_Main, no_args_is_help=False)
 @click.version_option(version=__version__, prog_name="vmbpbb")
 def main():
     """Bandpass-separated periodic block bootstrap for multi-period time series."""
@@ -143,7 +140,6 @@ def main():
 @click.option("--edge", type=click.Choice([e.value for e in EdgePolicy]), default=EdgePolicy.RENORMALIZE.value,
               show_default=True)
 @click.option("-o", "--output", "output_path", required=True, type=click.Path(dir_okay=False))
-@_cli_errors
 def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_path):
     """Bandpass-filter a series into one column per component."""
     if (periods_text is None) == (not spec_texts):
@@ -194,7 +190,6 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
 @click.option("--narrow-factor", default=1.0, show_default=True)
 @_RESAMPLE_OPTION
 @click.option("-o", "--output", "output_dir", required=True, type=click.Path(file_okay=False))
-@_cli_errors
 def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor, resample, output_dir):
     """Bootstrap a series and write per-component and aggregate CI bands."""
     series = read_series_csv(input_csv)
@@ -377,16 +372,14 @@ def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
 @click.option("--scale", type=click.Choice(["desk", "paper"]), default="desk", show_default=True,
               help="Default resamples/reps when the config does not pin them.")
 @click.option("--seed", type=int, default=None, help="Overrides the config seed.")
-@click.option("--threads", default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=1, envvar="VMBPBB_THREADS",
               help="Worker processes, at most one per repetition (default $VMBPBB_THREADS or 1).")
 @click.option("--paper-faithful/--no-paper-faithful", default=None,
               help="Doubled window for the {10,25} pairs at noise ratios 2 and 5.")
 @_RESAMPLE_OPTION
 @click.option("-o", "--output", "output_dir", required=True, type=click.Path(file_okay=False))
-@_cli_errors
 def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, output_dir):
     """Run the scenario grid and write table/coverage/per-repetition CSVs."""
-    threads = _parse_threads(threads)
     grid = _load_grid_config(config_path, scale, seed, paper_faithful)
     if scale == "paper":
         click.echo(
@@ -410,7 +403,6 @@ def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, ou
 @click.option("--grid", "grid_text", default="0:0.5:501", show_default=True,
               help="Frequency grid start:stop:count.")
 @click.option("-o", "--output", "output_path", required=True, type=click.Path(dir_okay=False))
-@_cli_errors
 def cmd_transfer(spec_texts, grid_text, output_path):
     """Evaluate energy transfer curves on a frequency grid."""
     try:
@@ -418,6 +410,8 @@ def cmd_transfer(spec_texts, grid_text, output_path):
         start, stop, count = float(start), float(stop), int(count)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("start and stop must be finite")
+        if not math.isfinite(stop - start):
+            raise ValueError("stop - start must be finite")
         if count < 1:
             raise ValueError("count must be at least 1")
         freqs = np.linspace(start, stop, count)
@@ -444,7 +438,6 @@ def cmd_transfer(spec_texts, grid_text, output_path):
 @main.command("report")
 @click.argument("reps_csv", type=click.Path(dir_okay=False))
 @click.option("-o", "--output", "output_dir", required=True, type=click.Path(file_okay=False))
-@_cli_errors
 def cmd_report(reps_csv, output_dir):
     """Re-aggregate a per-repetition log into the table CSVs."""
     cells = read_rep_log(reps_csv)

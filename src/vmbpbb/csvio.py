@@ -41,7 +41,7 @@ def read_rows(path, header):
     of each name. Rows are yielded as they are read, so a caller never holds
     the whole file. The rules every input CSV shares raise CsvFormatError: text
     that is not UTF-8, an empty file, another header, a row with another field
-    count, a cell holding "_", no data rows. Every data cell of both input
+    count, a cell holding "_" or over csv's size limit, no data rows. Every data cell of both input
     formats is a number, and int() and float() would read "1_0" as 10.
     """
     path = Path(path)
@@ -68,6 +68,8 @@ def read_rows(path, header):
                 yield lineno, row
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path.name} line {reader.line_num}: {exc}") from exc
     if not found:
         raise CsvFormatError(f"{path.name}: no data rows")
 
@@ -108,10 +110,10 @@ def _column_fields(column, end: str) -> list:
 
     A float64 array formats each distinct bit pattern once, so a band that
     repeats every period costs one format per phase; keying by bits keeps
-    0.0 and -0.0 apart. A range or an integer array is written with str(),
-    which never needs quoting. Any other cell is formatted on its own: floats
-    (np.float64 included, np.float32 not) with 17 significant digits, None
-    as an empty field, the rest with str().
+    0.0 and -0.0 apart. A range is written with str(), which never needs
+    quoting. Any other cell is formatted on its own: floats (np.float64
+    included, np.float32 not) with 17 significant digits, None as an empty
+    field, the rest with str().
     """
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
@@ -119,8 +121,6 @@ def _column_fields(column, end: str) -> list:
         return texts[inverse].tolist()
     if isinstance(column, range):
         texts = map(str, column)
-    elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        texts = map(str, column.tolist())
     else:
         texts = (
             _quoted(fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell)))

@@ -35,11 +35,13 @@ _AMPLITUDE = 1.0
 
 
 def _check_snr(snr) -> tuple:
-    """An SNR as (signal, noise) floats: a positive signal part and a non-negative noise part."""
+    """An SNR as (signal, noise) floats: signal > 0, noise >= 0, a finite _scenario_label."""
     signal, noise = float(snr[0]), float(snr[1])
     # Written so that NaN fails too.
     if not (signal > 0.0 and noise >= 0.0):
         raise ValueError("snr parts must be positive (noise part may be 0 for noiseless tests)")
+    if not math.isfinite(1000.0 * noise / signal):
+        raise ValueError(f"snr {signal:g}:{noise:g} has a noise-to-signal ratio too large to label")
     return signal, noise
 
 
@@ -275,7 +277,7 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     # Every cell's config is built (and so validated) before any cell runs.
     plan = []
     for snr in snrs:
-        snr = (float(snr[0]), float(snr[1]))
+        snr = _check_snr(snr)
         for p1, p2 in combinations(sorted(periods), 2):
             nf = 2.0 if paper_faithful and _auto_narrow(p1, p2, snr) else narrow_factor
             plan.append(ScenarioConfig(

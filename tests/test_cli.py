@@ -634,6 +634,16 @@ class TestTransferCommand:
         assert result.stderr == f"error:config: bad --grid value {grid!r}: start and stop must be finite\n"
         assert not out.exists()
 
+    def test_grid_span_beyond_float_range_is_config_error(self, runner, tmp_path):
+        # Both bounds are finite, but stop - start is not, so linspace would write nan and -inf.
+        out = tmp_path / "tr.csv"
+        result = runner.invoke(main, ["transfer", "--spec", "m=3,k=1,nu=0.5", "--grid", "1e308:-1e308:3",
+                                      "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error:config: bad --grid value '1e308:-1e308:3': stop - start must be finite\n"
+        assert not out.exists()
+
     def test_grid_too_large_to_allocate_is_config_error(self, runner, tmp_path, monkeypatch):
         # The failure is injected: a real allocation of this size could be killed
         # by the host's out-of-memory handler instead of raising MemoryError.
@@ -723,10 +733,14 @@ def grid_with(**changes):
     (["simulate", "--config", "grid.json"], grid_with(paper_faithful=1), "config"),
     (["simulate", "--config", "grid.json"], grid_with(reps=0), "config"),
     (["simulate", "--config", "grid.json"], grid_with(seed=DROPPED), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(snrs=[[1e-300, 1e300]]), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 1e306]]), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(snrs=[[0, 1]]), "config"),
 ], ids=["run-period-not-integer", "run-alpha-above-1", "run-nan-value", "spec-token-without-equals",
         "spec-unknown-key", "spec-without-k", "spec-without-m", "spec-nu-above-half", "grid-not-object",
         "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
-        "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed"])
+        "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed",
+        "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal"])
 def test_malformed_input_exits_with_one_error_line(runner, tmp_path, args, config, category):
     write_series(tmp_path / "series.csv", np.sin(np.arange(100.0)))
     (tmp_path / "nan.csv").write_text("t,value\n" + "".join(f"{t},{t % 3}\n" for t in range(99)) + "99,nan\n")
@@ -785,6 +799,8 @@ REPS_LOG = ",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW + "\n"
     (REPS_LOG + REPS_ROW.replace("1,2,", "1,-2,", 1) + "\n", "reps.csv line 3: snr parts must be positive"),
     (REPS_LOG + REPS_ROW.replace("10,25,1,", "10,25,0.5,") + "\n", "reps.csv line 3: narrow_factor must be >= 1"),
     (REPS_LOG + "0,10,50,50,0.5,0,1,0.2,0.3,40,90\n", "reps.csv line 3: snr parts must be positive"),
+    (REPS_LOG + REPS_ROW.replace("1,2,", "1,1e306,", 1) + "\n",
+     "reps.csv line 3: snr 1:1e+306 has a noise-to-signal ratio too large to label"),
     # Rows no repetition writes, and cells that table1.csv and table2.csv could not hold.
     (REPS_LOG + "1,2,10,25,1,1,-3,0.1,0.2,90,95\n", "reps.csv line 3: ci_ratio -3 is outside [0, inf]"),
     (REPS_LOG + "1,2,10,25,1,1,1.5,1.5,0.2,90,95\n", "reps.csv line 3: outside_pbb 1.5 is outside [0, 1]"),
@@ -796,6 +812,7 @@ REPS_LOG = ",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW + "\n"
     (REPS_LOG + "1,2,10,25,2,1,1.5,0.1,0.2,90,95\n", "reps.csv line 3: a second narrow_factor 2 for cell (10, 25)"),
 ], ids=["wrong-header", "ten-fields", "non-numeric", "header-only", "empty", "nan", "inf", "equal-periods",
         "period-below-2", "zero-signal", "negative-noise", "narrow-factor-below-1", "every-rule-broken",
+        "snr-label-overflows",
         "negative-ci-ratio", "outside-above-1", "outside-below-0", "negative-r2", "negative-rep", "repeated-rep",
         "descending-periods", "second-narrow-factor"])
 def test_malformed_rep_log_is_data_error(runner, tmp_path, text, where):
@@ -829,6 +846,57 @@ def test_underscore_in_a_numeric_cell_is_data_error(runner, tmp_path, command, e
     assert result.stderr.startswith(f"error:data: {where} is not a number")
     assert len(result.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("run", ["--periods", "2", "--seed", "1"]),
+    ("report", []),
+])
+def test_cell_beyond_the_csv_field_limit_is_data_error(runner, tmp_path, command, extra):
+    src = tmp_path / "in.csv"
+    huge = "1" * 200_000  # csv's default field size limit is 131072 characters
+    if command == "report":
+        src.write_text(REPS_LOG + REPS_ROW.replace("90", huge) + "\n")
+    else:
+        src.write_text("t,value\n0,1.5\n1," + huge + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, str(src), *extra, "-o", str(out)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:data: in.csv line 3: field larger than field limit")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "series.csv", "--periods", "10"],
+    ["run", "series.csv", "--periods", "10", "--seed", "1", "-B", "abc"],
+    ["bogus"],
+    ["--bogus"],
+    ["run", ".", "--periods", "10", "--seed", "1"],
+    [],
+], ids=["missing-seed", "resamples-not-integer", "unknown-command", "unknown-option", "directory-as-input",
+        "no-command"])
+def test_click_usage_errors_follow_the_exit_contract(runner, tmp_path, args):
+    write_series(tmp_path / "series.csv", np.sin(np.arange(100.0)))
+    out = tmp_path / "out"
+    args = [str(tmp_path / arg) if arg in ("series.csv", ".") else arg for arg in args]
+    if args and args[0] == "run":
+        args += ["-o", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:config: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["run", "--help"]])
+def test_help_and_version_exit_0_on_stdout(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stdout
+    assert result.stderr == ""
 
 
 def test_rep_log_reads_r2_rounded_above_100(tmp_path):

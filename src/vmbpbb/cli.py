@@ -206,14 +206,15 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
     # Component bands are built on first read, so they are read under the overflow check too.
     with _finite_arithmetic(input_csv):
         result = run_pipeline(series, cfg)
-        bands = [(f"component_p{c.period}.csv", c.band) for c in result.components]
-    bands.append(("aggregate.csv", result.aggregate_band))
+        # Each band repeats with its cycle: a component's period, the aggregate's lcm(periods).
+        bands = [(f"component_p{c.period}.csv", c.band, c.period) for c in result.components]
+    bands.append(("aggregate.csv", result.aggregate_band, math.lcm(*cfg.periods)))
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    times = range(series.start_index, series.start_index + series.n)
-    for name, band in bands:
+    times = list(map(str, range(series.start_index, series.start_index + series.n)))
+    for name, band, cycle in bands:
         write_rows_csv(outdir / name, ["t", "lower", "point", "upper"],
-                       [times, band.lower, band.point, band.upper])
+                       [times, band.lower, band.point, band.upper], cycle=cycle)
     manifest = manifest_for(
         "run",
         {
@@ -225,7 +226,7 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
             "narrow_factor": narrow_factor,
             "resample": resample,
         },
-        [name for name, _ in bands],
+        [name for name, *_ in bands],
         master_seed=seed,
         input_paths=[input_csv],
     )

@@ -1,12 +1,13 @@
 """CSV input/output and run manifests for the command-line surface.
 
 Every input CSV, a ``t,value`` series or a ``reps.csv`` log, is read by one
-streaming reader, ``read_rows``: UTF-8 text, a header that matches after
-stripping spaces and folding case, the header's number of fields on every
-non-blank row, no "_" in a data cell, and at least one data row. A broken rule is a CsvFormatError
-naming the file and, where there is one, the line. In a series the time
-column must be consecutive integers (unit spacing, no gaps). Floats are
-written with 17 significant digits so every file round-trips double
+streaming reader, ``read_rows``, a chunk of rows at a time: UTF-8 text (a
+leading byte-order mark is skipped), a header that matches after stripping
+spaces and folding case, the header's number of fields on every non-blank
+row, no "_" in a data cell, and at least one data row. A broken rule is a
+CsvFormatError naming the file and, where there is one, the line. In a series
+the time column must be consecutive integers (unit spacing, no gaps). Floats
+are written with 17 significant digits so every file round-trips double
 precision exactly. A manifest is a plain dict written as sorted JSON.
 """
 
@@ -15,7 +16,9 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import json
+import operator
 import os
 import platform
 from datetime import datetime, timezone
@@ -34,38 +37,67 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def read_rows(path, header):
-    """Yield (line number, fields) for each non-blank data row of a CSV with this header.
+# Data rows are read, checked and parsed this many at a time. A chunk that
+# breaks a rule is walked row by row, so its error names the row that a
+# row-by-row reader names.
+_CHUNK_ROWS = 2048
+# A band file is written this many rows per write, so no whole file is held.
+_PIECE_ROWS = 2048
 
-    header holds lowercase names; a file's header matches after strip().lower()
-    of each name. Rows are yielded as they are read, so a caller never holds
-    the whole file. The rules every input CSV shares raise CsvFormatError: text
-    that is not UTF-8, an empty file, another header, a row with another field
-    count, a cell holding "_" or over csv's size limit, no data rows. Every data cell of both input
-    formats is a number, and int() and float() would read "1_0" as 10.
+
+def _check_row(name, lineno, row, width) -> None:
+    if len(row) != width:
+        raise CsvFormatError(f"{name} line {lineno}: expected {width} columns, got {len(row)}")
+    if "_" in "".join(row):
+        cell = next(c for c in row if "_" in c)
+        raise CsvFormatError(f"{name} line {lineno}: {cell!r} is not a number ('_' in a cell)")
+
+
+def _row_chunks(path, header):
+    """Yield (line number, rows) for runs of consecutive data rows of a CSV with this header.
+
+    The rules of read_rows hold, checked on a chunk of rows at once. Where a
+    chunk holds a blank row or breaks a rule, its rows are yielded one at a
+    time and the first bad row raises, so a caller sees every row before the
+    bad one first. An error met while reading (text that is not UTF-8, a csv
+    error) is raised after the rows read before it have been yielded.
     """
     path = Path(path)
+    width = len(header)
     found = False
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig reads past the byte-order mark that some editors write first.
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is None:
                 raise CsvFormatError(f"{path.name}: empty input file")
             if [c.strip().lower() for c in first] != header:
                 raise CsvFormatError(f"{path.name} line 1: expected header {','.join(header)!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise CsvFormatError(
-                        f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
-                    )
-                if "_" in "".join(row):
-                    cell = next(c for c in row if "_" in c)
-                    raise CsvFormatError(f"{path.name} line {lineno}: {cell!r} is not a number ('_' in a cell)")
-                found = True
-                yield lineno, row
+            lineno = 2
+            while True:
+                rows, failure = [], None
+                try:
+                    # extend keeps the rows it read before an error.
+                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+                except (csv.Error, UnicodeDecodeError) as exc:
+                    failure = exc
+                cells = "".join(itertools.chain.from_iterable(rows))
+                if set(map(len, rows)) <= {width} and "_" not in cells:
+                    if rows:
+                        found = True
+                        yield lineno, rows
+                else:
+                    for offset, row in enumerate(rows):
+                        if row:
+                            _check_row(path.name, lineno + offset, row, width)
+                            found = True
+                            yield lineno + offset, [row]
+                if failure is not None:
+                    raise failure
+                if len(rows) < _CHUNK_ROWS:
+                    break
+                lineno += len(rows)
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
@@ -74,26 +106,66 @@ def read_rows(path, header):
         raise CsvFormatError(f"{path.name}: no data rows")
 
 
+def read_rows(path, header):
+    """Yield (line number, fields) for each non-blank data row of a CSV with this header.
+
+    header holds lowercase names; a file's header matches after strip().lower()
+    of each name. Rows are read a chunk at a time, so a caller never holds
+    the whole file. The rules every input CSV shares raise CsvFormatError: text
+    that is not UTF-8, an empty file, another header, a row with another field
+    count, a cell holding "_" or over csv's size limit, no data rows. Every data cell of both input
+    formats is a number, and int() and float() would read "1_0" as 10.
+    """
+    for lineno, rows in _row_chunks(path, header):
+        yield from enumerate(rows, start=lineno)
+
+
+def _series_rows(name, lineno, rows, last):
+    """(first t, last t, values) of consecutive series rows from line lineno.
+
+    last is the t of the row before them, None at the first row. The columns
+    are parsed whole and the t column compared with the run of integers it
+    must be. If that fails, the rows are walked in order, so the first bad row
+    raises the error a row-by-row reader raises.
+    """
+    t_texts, v_texts = zip(*rows)
+    try:
+        times = list(map(int, t_texts))
+        values = list(map(float, v_texts))
+    except ValueError:
+        pass
+    else:
+        first = times[0] if last is None else last + 1
+        if times == list(range(first, first + len(times))):
+            return first, times[-1], values
+    first, values = None, []
+    for lineno, (t_text, v_text) in enumerate(rows, start=lineno):
+        try:
+            t = int(t_text)
+            values.append(float(v_text))
+        except ValueError as exc:
+            raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
+        if last is not None and t != last + 1:
+            raise CsvFormatError(
+                f"{name} line {lineno}: time column must be consecutive integers "
+                f"(got {t} after {last})"
+            )
+        first = t if first is None else first
+        last = t
+    return first, last, values
+
+
 def read_series_csv(path) -> TimeSeries:
     """Parse a t,value CSV into a TimeSeries; the first t becomes start_index."""
     name = Path(path).name
-    times = []
+    start = last = None
     values = []
-    for lineno, (t_text, v_text) in read_rows(path, ["t", "value"]):
-        try:
-            t = int(t_text)
-            v = float(v_text)
-        except ValueError as exc:
-            raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
-        if times and t != times[-1] + 1:
-            raise CsvFormatError(
-                f"{name} line {lineno}: time column must be consecutive integers "
-                f"(got {t} after {times[-1]})"
-            )
-        times.append(t)
-        values.append(v)
+    for lineno, rows in _row_chunks(path, ["t", "value"]):
+        first, last, chunk = _series_rows(name, lineno, rows, last)
+        start = first if start is None else start
+        values += chunk
     try:
-        return TimeSeries(values, start_index=times[0])
+        return TimeSeries(values, start_index=start)
     except ValueError as exc:
         raise CsvFormatError(f"{name}: {exc}") from exc
 
@@ -129,25 +201,47 @@ def _column_fields(column, end: str) -> list:
     return [text + end for text in texts] if end else list(texts)
 
 
-def write_rows_csv(path, header, columns) -> None:
+def _cycle_pieces(columns, cycle):
+    """A band file's rows, _PIECE_ROWS at a time: each row's first field, then its row end.
+
+    Row i of every later column equals its row i % cycle, so the row ends
+    are formatted once per cycle position.
+    """
+    ends = ["".join("," + fmt_float(v) for v in cells) + "\n"
+            for cells in zip(*(column[:cycle].tolist() for column in columns[1:]))]
+    rows = map(operator.add, columns[0], itertools.cycle(ends))
+    return iter(lambda: "".join(itertools.islice(rows, _PIECE_ROWS)), "")
+
+
+def write_rows_csv(path, header, columns, cycle=None) -> None:
     """Write one column per header name, all of one length; floats get full precision.
 
     The bytes are those csv.writer writes with minimal quoting and "\\n" line
     ends, a row holding one empty field included (it is written as "").
+
+    A band file passes cycle. columns[0] then holds each row's first field as
+    written, such as str(t), shared by every band of a run; each later column
+    is a float64 array whose row i equals its row i % cycle, and only its first
+    cycle rows are read.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    # The line end rides on the last column's fields, so no string is built per line.
-    fields = [_column_fields(column, "\n" if i == len(columns) - 1 else "")
-              for i, column in enumerate(columns)]
     head = ",".join(_quoted(str(name)) for name in header)
     if len(header) == 1:
         # csv.writer writes a lone empty field as "", so the line does not read back as blank.
         head = head or '""'
-        fields[0] = [text if text != "\n" else '""\n' for text in fields[0]]
+    if cycle is not None:
+        lines = _cycle_pieces(columns, cycle)
+    else:
+        # The line end rides on the last column's fields, so no string is built per line.
+        fields = [_column_fields(column, "\n" if i == len(columns) - 1 else "")
+                  for i, column in enumerate(columns)]
+        if len(header) == 1:
+            fields[0] = [text if text != "\n" else '""\n' for text in fields[0]]
+        lines = map(",".join, zip(*fields, strict=True))
     with Path(path).open("w", newline="") as fh:
         fh.write(head + "\n")
-        fh.writelines(map(",".join, zip(*fields, strict=True)))
+        fh.writelines(lines)
 
 
 def sha256_file(path) -> str:

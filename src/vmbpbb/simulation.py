@@ -274,6 +274,12 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
         raise InvalidPeriodError("a grid needs at least two periods")
     if not snrs:
         raise ValueError("a grid needs at least one snr")
+    # narrow_factor is checked as given, also for a pair that every snr auto-narrows.
+    for p1, p2 in combinations(sorted(periods), 2):
+        try:
+            select_filter_specs((p1, p2), narrow_factor)
+        except ValueError as exc:
+            raise type(exc)(f"cell ({p1}, {p2}): {exc}") from None
     # Every cell's config is built (and so validated) before any cell runs.
     plan = []
     for snr in snrs:

@@ -1,4 +1,5 @@
 import json
+import pickle
 import warnings
 from pathlib import Path
 
@@ -736,11 +737,16 @@ def grid_with(**changes):
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1e-300, 1e300]]), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 1e306]]), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[0, 1]]), "config"),
+    # Every cell of GRID is auto-narrowed, so its narrow_factor is checked where the grid takes it.
+    (["simulate", "--config", "grid.json"], grid_with(narrow_factor=0.5), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(narrow_factor=float("nan")), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(narrow_factor=1e308), "config"),
 ], ids=["run-period-not-integer", "run-alpha-above-1", "run-nan-value", "spec-token-without-equals",
         "spec-unknown-key", "spec-without-k", "spec-without-m", "spec-nu-above-half", "grid-not-object",
         "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
         "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed",
-        "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal"])
+        "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal",
+        "grid-narrow-factor-below-1", "grid-narrow-factor-nan", "grid-narrow-factor-unbounded"])
 def test_malformed_input_exits_with_one_error_line(runner, tmp_path, args, config, category):
     write_series(tmp_path / "series.csv", np.sin(np.arange(100.0)))
     (tmp_path / "nan.csv").write_text("t,value\n" + "".join(f"{t},{t % 3}\n" for t in range(99)) + "99,nan\n")
@@ -924,3 +930,16 @@ def test_read_rows_streams(tmp_path):
     assert next(rows) == (3, ["1", "2.0"])
     with pytest.raises(CsvFormatError, match="series.csv line 4: expected 2 columns, got 1"):
         next(rows)
+
+
+@pytest.mark.parametrize("read,text", [
+    (read_series_csv, "t,value\n4,1.5\n5,-2\n6,0.25\n7,3\n"),
+    (simulation.read_rep_log, REPS_LOG),
+], ids=["series", "reps"])
+def test_a_leading_byte_order_mark_is_read(tmp_path, read, text):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; the header then matches as written.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert pickle.dumps(read(marked)) == pickle.dumps(read(plain))

@@ -211,6 +211,7 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
     bands.append(("aggregate.csv", result.aggregate_band, math.lcm(*cfg.periods)))
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # The t fields as written, formatted once for all three files.
     times = list(map(str, range(series.start_index, series.start_index + series.n)))
     for name, band, cycle in bands:
         write_rows_csv(outdir / name, ["t", "lower", "point", "upper"],

@@ -6,9 +6,11 @@ leading byte-order mark is skipped), a header that matches after stripping
 spaces and folding case, the header's number of fields on every non-blank
 row, no "_" in a data cell, and at least one data row. A broken rule is a
 CsvFormatError naming the file and, where there is one, the line. In a series
-the time column must be consecutive integers (unit spacing, no gaps). Floats
-are written with 17 significant digits so every file round-trips double
-precision exactly. A manifest is a plain dict written as sorted JSON.
+the time column must be consecutive integers (unit spacing, no gaps) and
+every value finite. Every output CSV is written by one writer,
+``write_rows_csv``, with csv.writer's bytes; floats are written with 17
+significant digits so every file round-trips double precision exactly. A
+manifest is a plain dict written as sorted JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import platform
@@ -41,7 +44,7 @@ def fmt_float(v: float) -> str:
 # breaks a rule is walked row by row, so its error names the row that a
 # row-by-row reader names.
 _CHUNK_ROWS = 2048
-# A band file is written this many rows per write, so no whole file is held.
+# Every CSV is written this many rows per write, so no whole file is held.
 _PIECE_ROWS = 2048
 
 
@@ -124,9 +127,10 @@ def _series_rows(name, lineno, rows, last):
     """(first t, last t, values) of consecutive series rows from line lineno.
 
     last is the t of the row before them, None at the first row. The columns
-    are parsed whole and the t column compared with the run of integers it
-    must be. If that fails, the rows are walked in order, so the first bad row
-    raises the error a row-by-row reader raises.
+    are parsed whole, the t column compared with the run of integers it must
+    be and the values' sum checked for inf and nan. If that fails, the rows are
+    walked in order, so the first bad row raises the error a row-by-row
+    reader raises.
     """
     t_texts, v_texts = zip(*rows)
     try:
@@ -136,15 +140,20 @@ def _series_rows(name, lineno, rows, last):
         pass
     else:
         first = times[0] if last is None else last + 1
-        if times == list(range(first, first + len(times))):
+        # The sum is finite only if every value is; values whose sum overflows
+        # are walked too, and pass.
+        if times == list(range(first, first + len(times))) and math.isfinite(sum(values)):
             return first, times[-1], values
     first, values = None, []
     for lineno, (t_text, v_text) in enumerate(rows, start=lineno):
         try:
             t = int(t_text)
-            values.append(float(v_text))
+            value = float(v_text)
         except ValueError as exc:
             raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise CsvFormatError(f"{name} line {lineno}: {v_text.strip()!r} is not a finite number")
+        values.append(value)
         if last is not None and t != last + 1:
             raise CsvFormatError(
                 f"{name} line {lineno}: time column must be consecutive integers "
@@ -164,10 +173,7 @@ def read_series_csv(path) -> TimeSeries:
         first, last, chunk = _series_rows(name, lineno, rows, last)
         start = first if start is None else start
         values += chunk
-    try:
-        return TimeSeries(values, start_index=start)
-    except ValueError as exc:
-        raise CsvFormatError(f"{name}: {exc}") from exc
+    return TimeSeries(values, start_index=start)
 
 
 def _quoted(text: str) -> str:
@@ -177,40 +183,22 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _column_fields(column, end: str) -> list:
-    """The written fields of one column, each followed by end.
+def _texts(column) -> list:
+    """The written fields of a column's cells.
 
-    A float64 array formats each distinct bit pattern once, so a band that
-    repeats every period costs one format per phase; keying by bits keeps
-    0.0 and -0.0 apart. A range is written with str(), which never needs
-    quoting. Any other cell is formatted on its own: floats (np.float64
-    included, np.float32 not) with 17 significant digits, None as an empty
-    field, the rest with str().
+    A float64 array is formatted from its ndarray.tolist() floats and a range
+    with str(); neither needs quoting. Any other cell is formatted on its own:
+    floats (np.float64 included, np.float32 not) with 17 significant digits,
+    None as an empty field, the rest with str(); then it is quoted.
     """
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        texts = np.array([fmt_float(v) + end for v in bits.view(np.float64)], dtype=object)
-        return texts[inverse].tolist()
+        return [fmt_float(v) for v in column.tolist()]
     if isinstance(column, range):
-        texts = map(str, column)
-    else:
-        texts = (
-            _quoted(fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell)))
-            for cell in column
-        )
-    return [text + end for text in texts] if end else list(texts)
-
-
-def _cycle_pieces(columns, cycle):
-    """A band file's rows, _PIECE_ROWS at a time: each row's first field, then its row end.
-
-    Row i of every later column equals its row i % cycle, so the row ends
-    are formatted once per cycle position.
-    """
-    ends = ["".join("," + fmt_float(v) for v in cells) + "\n"
-            for cells in zip(*(column[:cycle].tolist() for column in columns[1:]))]
-    rows = map(operator.add, columns[0], itertools.cycle(ends))
-    return iter(lambda: "".join(itertools.islice(rows, _PIECE_ROWS)), "")
+        return list(map(str, column))
+    return [
+        _quoted(fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell)))
+        for cell in column
+    ]
 
 
 def write_rows_csv(path, header, columns, cycle=None) -> None:
@@ -219,29 +207,30 @@ def write_rows_csv(path, header, columns, cycle=None) -> None:
     The bytes are those csv.writer writes with minimal quoting and "\\n" line
     ends, a row holding one empty field included (it is written as "").
 
-    A band file passes cycle. columns[0] then holds each row's first field as
-    written, such as str(t), shared by every band of a run; each later column
-    is a float64 array whose row i equals its row i % cycle, and only its first
-    cycle rows are read.
+    Row i is its first field plus the tail of row i % cycle, and a tail (the
+    later columns' fields and the line end) is built for each of the first
+    cycle rows only. Without cycle, every row has its own. A band file passes
+    cycle: columns[0] then holds each row's first field as written, such as
+    str(t), shared by every band of a run, and each later column is a float64
+    array whose row i equals its row i % cycle.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    head = ",".join(_quoted(str(name)) for name in header)
+    first, *later = columns or [()]
+    if cycle is None:
+        first = _texts(first)
+        if any(len(column) != len(first) for column in later):
+            raise ValueError("columns must all have one length")
+    # The later columns' texts are let go once the tails hold them.
+    tails = (["," + ",".join(cells) + "\n" for cells in zip(*[_texts(column[:cycle]) for column in later])]
+             if later else ["\n"])
+    head = ",".join(_texts(header))
     if len(header) == 1:
         # csv.writer writes a lone empty field as "", so the line does not read back as blank.
-        head = head or '""'
-    if cycle is not None:
-        lines = _cycle_pieces(columns, cycle)
-    else:
-        # The line end rides on the last column's fields, so no string is built per line.
-        fields = [_column_fields(column, "\n" if i == len(columns) - 1 else "")
-                  for i, column in enumerate(columns)]
-        if len(header) == 1:
-            fields[0] = [text if text != "\n" else '""\n' for text in fields[0]]
-        lines = map(",".join, zip(*fields, strict=True))
+        head, *first = [text or '""' for text in (head, *first)]
+    lines = itertools.chain([head + "\n"], map(operator.add, first, itertools.cycle(tails)))
     with Path(path).open("w", newline="") as fh:
-        fh.write(head + "\n")
-        fh.writelines(lines)
+        fh.writelines(iter(lambda: "".join(itertools.islice(lines, _PIECE_ROWS)), ""))
 
 
 def sha256_file(path) -> str:

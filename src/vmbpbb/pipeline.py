@@ -25,7 +25,7 @@ from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
 from .filters import (FilterSpec, _kzft_values, check_window_fits, kzft_apply, reconstruct_component,
                       select_filter_specs)
-from .series import TimeSeries, _phase_layout, _phase_means, validate_periods
+from .series import TimeSeries, _phase_layout, _phase_means, as_integer, validate_periods
 
 # Stream label of the whole-series draws under the pipeline seed. Periods are
 # >= 2, so no component sub-stream seed.child(p) can take it.
@@ -79,7 +79,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "periods", validate_periods(self.periods))
-        object.__setattr__(self, "resamples", int(self.resamples))
+        object.__setattr__(self, "resamples", as_integer(self.resamples, "resamples"))
         if self.resamples < 2:
             raise InsufficientResamplesError("pipelines need at least 2 resamples")
         if self.resamples > MAX_RESAMPLES:

@@ -37,9 +37,17 @@ class TimeSeries:
         return self.values.size
 
 
+def as_integer(value, name: str, error=ValueError) -> int:
+    """value as an int: 50.0 and np.int64(50) pass, a value int() would change, such as 50.5, raises error."""
+    number = int(value)
+    if number != value:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def validate_periods(periods) -> tuple:
     """The periods of a multi-period model: at least one, integers >= 2, distinct."""
-    periods = tuple(int(p) for p in periods)
+    periods = tuple(as_integer(p, "a period", InvalidPeriodError) for p in periods)
     if not periods:
         raise InvalidPeriodError("at least one period is required")
     if any(p < 2 for p in periods):

@@ -23,7 +23,7 @@ from .filters import select_filter_specs
 from .pipeline import Mode, PipelineConfig, Resample, mode_filters, run_paired
 # Unused here; kept importable from this module because bench/spans.py wraps it by this name.
 from .pipeline import run_pipeline  # noqa: F401
-from .series import TimeSeries, validate_periods
+from .series import TimeSeries, as_integer, validate_periods
 
 # Stream labels under each repetition's sub-seed.
 _NOISE_STREAM = 0
@@ -67,16 +67,20 @@ class ScenarioConfig:
     resample: Resample = Resample.COMPONENTS
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "reps", int(self.reps))
+        object.__setattr__(self, "n", as_integer(self.n, "n"))
+        object.__setattr__(self, "reps", as_integer(self.reps, "reps"))
         object.__setattr__(self, "snr", _check_snr(self.snr))
         signal, noise = self.snr
         if self.reps < 1:
             raise ValueError("need at least one repetition")
         try:
-            mode_filters(self.pipeline(self.seed), self.n, tuple(Mode))
+            cfg = self.pipeline(self.seed)
+            mode_filters(cfg, self.n, tuple(Mode))
         except ValueError as exc:
             raise type(exc)(f"cell ({self.p1}, {self.p2}) at snr {signal:g}:{noise:g}: {exc}") from None
+        # The periods the pipelines run at, so the simulated sines have the same ones.
+        object.__setattr__(self, "p1", cfg.periods[0])
+        object.__setattr__(self, "p2", cfg.periods[1])
 
     def pipeline(self, seed: SeedSpec) -> PipelineConfig:
         """The config both pipelines of a repetition run under, drawing from seed."""

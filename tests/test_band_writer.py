@@ -1,7 +1,8 @@
-"""The cycle path of write_rows_csv, which writes `run`'s band files, against its column-wise path.
+"""write_rows_csv with a cycle, as `run` writes its band files, against the same writer without one.
 
 A band file passed with its cycle must hold the bytes that write_rows_csv
-writes for the same columns tiled out in full.
+writes for the same columns tiled out in full, and that csv.writer writes
+for them.
 """
 
 from unittest import mock
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_csv_writer import SPECIAL_FLOATS, texts
+from test_csv_writer import SPECIAL_FLOATS, texts, write_rows_csv_oracle
 
 from vmbpbb import csvio
 from vmbpbb.csvio import write_rows_csv
@@ -22,6 +23,9 @@ def assert_band_bytes(tmp_path, header, cycle_columns, cycle, n, start):
     write_rows_csv(tmp_path / "oracle.csv", header, [times, *tiled])
     write_rows_csv(tmp_path / "band.csv", header, [list(map(str, times)), *tiled], cycle=cycle)
     assert (tmp_path / "band.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    # Both writer modes share their code, so the bytes are held to csv.writer's too.
+    write_rows_csv_oracle(tmp_path / "csv.csv", header, zip(times, *tiled))
+    assert (tmp_path / "band.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())

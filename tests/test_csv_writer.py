@@ -1,14 +1,16 @@
-"""The column-wise CSV writer against the row-wise csv.writer implementation it replaced."""
+"""The CSV writer against the row-wise csv.writer implementation it replaced."""
 
 import csv
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmbpbb import csvio
 from vmbpbb.csvio import fmt_float, write_rows_csv
 
 
@@ -90,11 +92,12 @@ def tables(draw):
     return header, columns
 
 
-@given(tables())
+@given(tables(), st.sampled_from([1, 2, 5, 2048]))
 @settings(max_examples=300, deadline=None)
-def test_matches_csv_writer_oracle(tmp_path_factory, table):
+def test_matches_csv_writer_oracle(tmp_path_factory, table, piece_rows):
     header, columns = table
-    assert_same_bytes(tmp_path_factory.mktemp("csv"), header, columns)
+    with mock.patch.object(csvio, "_PIECE_ROWS", piece_rows):
+        assert_same_bytes(tmp_path_factory.mktemp("csv"), header, columns)
 
 
 def test_signed_zeros_keep_their_sign(tmp_path):

@@ -56,6 +56,21 @@ class TestPipelineConfig:
         with pytest.raises(InvalidPeriodError):
             PipelineConfig(periods=(), resamples=8, seed=SeedSpec(0))
 
+    @pytest.mark.parametrize("periods,resamples,error", [
+        ((50.5, 100), 20, InvalidPeriodError),
+        ((50, np.float64(100.25)), 20, InvalidPeriodError),
+        ((50, 100), 20.7, ValueError),
+    ])
+    def test_rejects_non_integral_periods_and_resamples(self, periods, resamples, error):
+        # int() would quietly run 50.5 at period 50 and 20.7 resamples as 20.
+        with pytest.raises(error, match="must be an integer, got"):
+            PipelineConfig(periods=periods, resamples=resamples, seed=SeedSpec(0))
+
+    def test_integral_floats_and_numpy_integers_are_stored_as_int(self):
+        cfg = PipelineConfig(periods=(50.0, np.int64(100)), resamples=np.float64(20.0), seed=SeedSpec(0))
+        assert cfg.periods == (50, 100) and cfg.resamples == 20
+        assert {type(v) for v in (*cfg.periods, cfg.resamples)} == {int}
+
     def test_rejects_unknown_resample(self):
         with pytest.raises(ValueError):
             PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0), resample="blocks")

@@ -5,6 +5,7 @@ message, line number included, for every input.
 """
 
 import csv
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -64,6 +65,8 @@ def read_series_csv_oracle(path) -> TimeSeries:
             v = float(v_text)
         except ValueError as exc:
             raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
+        if not math.isfinite(v):
+            raise CsvFormatError(f"{name} line {lineno}: {v_text.strip()!r} is not a finite number")
         if times and t != times[-1] + 1:
             raise CsvFormatError(
                 f"{name} line {lineno}: time column must be consecutive integers "
@@ -101,6 +104,8 @@ FAULTS = {
     "bad-cell": lambda lines, k: lines[k].split(",")[0] + ",1.5x",
     "field-count": lambda lines, k: lines[k] + ",3",
     "underscore": lambda lines, k: lines[k].split(",")[0] + ",1_0",
+    # float() reads 1e999 as inf.
+    "non-finite": lambda lines, k: lines[k].split(",")[0] + ",1e999",
 }
 
 
@@ -123,7 +128,7 @@ def write_lines(path, lines, end="\n"):
 @pytest.mark.parametrize("blanks", [False, True], ids=["no-blank", "blank-rows-before"])
 @pytest.mark.parametrize("k", [0, CHUNK // 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1],
                          ids=["first-row", "mid-chunk", "last-row", "next-chunk-first", "next-chunk-last"])
-@pytest.mark.parametrize("fault", ["bad-cell", "field-count", "underscore", "gap"])
+@pytest.mark.parametrize("fault", ["bad-cell", "field-count", "underscore", "non-finite", "gap"])
 def test_fault_at_a_chunk_position_matches_oracle(tmp_path, fault, k, blanks):
     lines = with_fault(series_lines(2 * CHUNK + 10), fault, k)
     if blanks:
@@ -187,7 +192,14 @@ def test_small_files_match_oracle(tmp_path, text):
     assert_same_outcome(path)
 
 
-row_kinds = st.sampled_from(["good"] * 6 + ["blank", "bad-cell", "field-count", "underscore", "gap", "quoted"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN ", "1e999", "-1e999"])
+def test_a_non_finite_value_names_its_line(tmp_path, cell):
+    path = write_lines(tmp_path / "nan.csv", ["0,1", "", "1,2", f"2,{cell}", "3,4"])
+    assert assert_same_outcome(path) == ("error", f"nan.csv line 5: {cell.strip()!r} is not a finite number")
+
+
+row_kinds = st.sampled_from(["good"] * 6 + ["blank", "bad-cell", "field-count", "underscore", "non-finite", "gap",
+                                           "quoted"])
 
 
 @given(st.lists(row_kinds, min_size=1, max_size=30), st.sampled_from([1, 2, 3, 5, 2048]),

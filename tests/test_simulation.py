@@ -48,6 +48,22 @@ class TestScenarioConfig:
             small_cfg(p1=25, p2=50, n=120, narrow_factor=2.0)
         assert small_cfg(p1=25, p2=50, n=201, narrow_factor=2.0).n == 201
 
+    @pytest.mark.parametrize("field,value,error", [
+        ("p1", 10.5, InvalidPeriodError),
+        ("p2", 25.25, InvalidPeriodError),
+        ("n", 200.5, ValueError),
+        ("reps", 2.5, ValueError),
+        ("resamples", 20.7, ValueError),
+    ])
+    def test_rejects_non_integral_sizes(self, field, value, error):
+        with pytest.raises(error, match="must be an integer, got"):
+            small_cfg(**{field: value})
+
+    def test_stores_integral_sizes_as_int(self):
+        cfg = small_cfg(p1=10.0, p2=np.int64(25), n=np.float64(200.0), reps=4.0)
+        assert (cfg.p1, cfg.p2, cfg.n, cfg.reps) == (10, 25, 200, 4)
+        assert {type(v) for v in (cfg.p1, cfg.p2, cfg.n, cfg.reps)} == {int}
+
     def test_rejects_bad_snr(self):
         with pytest.raises(ValueError):
             small_cfg(snr=(0, 2))

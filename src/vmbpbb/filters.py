@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidFilterError, SeriesTooShortError, UndefinedCutoffError
-from .series import TimeSeries, validate_periods
+from .series import TimeSeries, as_integer, validate_periods
 
 
 class EdgePolicy(Enum):
@@ -41,8 +41,8 @@ class FilterSpec:
     nu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "m", as_integer(self.m, "window length m", InvalidFilterError))
+        object.__setattr__(self, "k", as_integer(self.k, "iteration count k", InvalidFilterError))
         object.__setattr__(self, "nu", float(self.nu))
         _validate_filter_args(self.m, self.k)
         if not 0.0 <= self.nu <= 0.5:
@@ -73,7 +73,7 @@ class ComplexSeries:
             raise ValueError("complex series samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "start_index", int(self.start_index))
+        object.__setattr__(self, "start_index", as_integer(self.start_index, "start_index"))
 
     @property
     def n(self) -> int:

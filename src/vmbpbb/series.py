@@ -30,7 +30,7 @@ class TimeSeries:
             raise ValueError("time series samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "start_index", int(self.start_index))
+        object.__setattr__(self, "start_index", as_integer(self.start_index, "start_index"))
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ attributable to the bandpass step alone.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -32,6 +32,33 @@ _BOOT_STREAM = 1
 # Component amplitude is fixed at one unit, so total signal power is
 # len(components) * 1/2.
 _AMPLITUDE = 1.0
+
+
+def __getattr__(name):
+    # The pool class is imported when first read, so a serial run never loads
+    # multiprocessing. run_scenario_detail reads it as a module attribute, so a
+    # class set on the module in its place (a tracer's, a test's) is the one that runs.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _median(values) -> float:
+    """np.median of a non-empty 1-D sample, bit for bit, by numpy's own _median steps.
+
+    numpy partitions at the middle index (or two) and at -1, takes np.mean of
+    the middle slice (a sum that starts from +0.0, which sets the sign of a
+    zero median), and returns the last partitioned value when it is NaN. Its
+    NaN check also asks whether the input is a masked array, which imports
+    numpy.ma on the first call; this helper takes the same steps without it.
+    """
+    a = np.asarray(values, dtype=float)
+    half = a.size // 2
+    kth = [half] if a.size % 2 else [half - 1, half]
+    part = np.partition(a, kth + [-1])
+    middle = float(np.mean(part[kth[0]:half + 1]))
+    return float(part[-1]) if math.isnan(part[-1]) else middle
 
 
 def _check_snr(snr) -> tuple:
@@ -172,7 +199,7 @@ def ci_ratio(band_pbb: CIBand, band_vm: CIBand) -> float:
     widths_vm = band_vm.width
     if np.any(widths_vm == 0.0):
         raise DegenerateBandError("reference band has zero width at some time point")
-    return float(np.median(band_pbb.width / widths_vm))
+    return _median(band_pbb.width / widths_vm)
 
 
 def _squared_correlation_percent(a: np.ndarray, b: np.ndarray) -> float:
@@ -212,15 +239,15 @@ def _run_repetition(cfg: ScenarioConfig, rep: int) -> RepRecord:
 
 
 def _aggregate_records(records) -> ScenarioMetrics:
-    r2_vm = float(np.median([r.r2_vmbpbb for r in records]))
-    r2_pbb = float(np.median([r.r2_pbb for r in records]))
+    r2_vm = _median([r.r2_vmbpbb for r in records])
+    r2_pbb = _median([r.r2_pbb for r in records])
     return ScenarioMetrics(
-        ci_ratio_median=float(np.median([r.ci_ratio for r in records])),
+        ci_ratio_median=_median([r.ci_ratio for r in records]),
         r2_vmbpbb=r2_vm,
         r2_pbb=r2_pbb,
         r2_diff=r2_vm - r2_pbb,
-        outside_frac_vmbpbb=float(np.median([r.outside_vmbpbb for r in records])),
-        outside_frac_pbb=float(np.median([r.outside_pbb for r in records])),
+        outside_frac_vmbpbb=_median([r.outside_vmbpbb for r in records]),
+        outside_frac_pbb=_median([r.outside_pbb for r in records]),
         reps_completed=len(records),
     )
 
@@ -240,7 +267,7 @@ def run_scenario_detail(cfg: ScenarioConfig, threads: int = 1):
     # A pool forks all of its workers at once, so it gets no more than one per repetition.
     workers = min(threads, cfg.reps)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_repetition, [cfg] * cfg.reps, reps))
     else:
         records = [_run_repetition(cfg, r) for r in reps]

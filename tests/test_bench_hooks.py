@@ -28,3 +28,10 @@ HOOKS = load_hooks()
 def test_hooked_name_resolves(module_name, name):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, name, None)), f"{module_name}.{name} is gone"
+
+
+def test_pool_hook_is_a_class():
+    # spans.py counts pool starts and tasks only by subclassing the pool class;
+    # a plain function in its place would only have its calls timed.
+    simulation = importlib.import_module("vmbpbb.simulation")
+    assert isinstance(simulation.ProcessPoolExecutor, type)

@@ -100,6 +100,28 @@ class TestCoefficients:
             kz_coefficients(m, k)
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("m,k", [(3.5, 1), (3, 1.9), (np.float64(5.25), 2)])
+    def test_filter_spec_rejects_non_integral_m_and_k(self, m, k):
+        # int() would quietly build FilterSpec(m=3.5, k=1.9) as m=3, k=1.
+        with pytest.raises(InvalidFilterError, match="must be an integer, got"):
+            FilterSpec(m=m, k=k, nu=0.0)
+
+    def test_filter_spec_stores_integral_floats_and_numpy_integers_as_int(self):
+        spec = FilterSpec(m=3.0, k=np.int64(2), nu=0.1)
+        assert (spec.m, spec.k) == (3, 2)
+        assert {type(spec.m), type(spec.k)} == {int}
+
+    @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75)])
+    def test_complex_series_rejects_non_integral_start_index(self, start_index):
+        with pytest.raises(ValueError, match="start_index must be an integer, got"):
+            ComplexSeries([1j, 2j], start_index=start_index)
+
+    def test_complex_series_stores_integral_start_index_as_int(self):
+        assert type(ComplexSeries([1j], start_index=np.int64(3)).start_index) is int
+        assert ComplexSeries([1j], start_index=3.0).start_index == 3
+
+
 class TestKzApply:
     """The low-pass KZ filter, applied as kzft_apply at nu = 0."""
 

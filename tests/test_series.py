@@ -29,6 +29,16 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([np.inf])
 
+    @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75)])
+    def test_rejects_non_integral_start_index(self, start_index):
+        # int() would quietly place TimeSeries([1.0, 2.0], start_index=2.5) at 2.
+        with pytest.raises(ValueError, match="start_index must be an integer, got"):
+            TimeSeries([1.0, 2.0], start_index=start_index)
+
+    def test_integral_start_index_is_stored_as_int(self):
+        assert TimeSeries([1.0], start_index=3.0).start_index == 3
+        assert type(TimeSeries([1.0], start_index=np.int64(3)).start_index) is int
+
     def test_values_are_immutable(self):
         ts = TimeSeries([1.0, 2.0])
         with pytest.raises(ValueError):

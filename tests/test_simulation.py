@@ -20,7 +20,7 @@ from vmbpbb.errors import (
     InvalidPeriodError,
     UndefinedCorrelationError,
 )
-from vmbpbb.simulation import _squared_correlation_percent
+from vmbpbb.simulation import _median, _squared_correlation_percent
 
 
 def small_cfg(**overrides):
@@ -114,6 +114,44 @@ class TestCiRatio:
         wide = CIBand(lower=np.zeros(3), point=np.ones(3), upper=np.full(3, 2.0))
         with pytest.raises(DegenerateBandError):
             ci_ratio(wide, flat)
+
+
+def bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+class TestMedian:
+    """simulation._median against np.median, bit for bit: sign of zero, NaN payload, overflow."""
+
+    @pytest.mark.parametrize("values", [
+        [2.0], [-0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0, -1.0],
+        [np.inf, -np.inf], [np.inf, 1.0, np.inf], [-np.inf, -np.inf, 3.0],
+        [np.nan], [1.0, np.nan, 2.0], [np.nan, -np.nan, 0.0, 1.0],
+        [1e308, 1e308], [-1e308, -1e308, 0.0, 5.0], [1e308, 1.5e308, -1.0],
+        [5e-324, -5e-324], [3.0, 1.0, 2.0, 4.0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+    ], ids=repr)
+    def test_matches_np_median(self, values):
+        # Both sides add the same two middle values, so an overflow or inf - inf warns on both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            median = _median(values)
+            assert bits(median) == bits(np.median(values))
+        assert type(median) is float
+
+    def test_matches_np_median_on_mixed_samples(self):
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, np.nan, 1.0, -1.0, 5e-324])
+        rng = np.random.default_rng(24)
+        for size in range(1, 60):
+            for _ in range(20):
+                values = rng.normal(size=size)
+                swap = rng.random(size) < rng.random()
+                values[swap] = rng.choice(specials, int(swap.sum()))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert bits(_median(values)) == bits(np.median(values)), values.tolist()
+
+    def test_leaves_its_input_unchanged(self):
+        values = np.array([3.0, 1.0, 2.0])
+        _median(values)
+        np.testing.assert_array_equal(values, [3.0, 1.0, 2.0])
 
 
 class TestR2AgainstTruth:

@@ -7,10 +7,16 @@ t mod p; slot draws are mutually independent. Repeating B times and taking the
 periodic mean of every resample yields the bootstrap distribution of the
 per-phase means.
 
-The resamples of one period are drawn in blocks of about 2**14 slots and
-gathered from every series of a stack with one take (_resample_blocks), then
-averaged by series._phase_means, so the means are bit for bit those of the
-one-resample-at-a-time loop with np.bincount.
+The resamples of one period are drawn in blocks of about 2**14 slots. The k
+series resampled together (a period's PBB and VMBPBB components) sit as the
+columns of one C-contiguous (n, k) table, so one take along its first axis
+gathers a block's every mode into an (m, n, k) buffer (_resample_blocks).
+Read flat, each of its m rows is one series of length n*k in which slot t of
+series i sits at t*k + i; at period p*k that slot's phase is (t mod p)*k + i.
+So series._phase_means sums the whole block at once, at period p*k with every
+phase count repeated k times, and each phase still adds its members in index
+order: the means are bit for bit those of the one-series-at-a-time loop with
+np.bincount (bootstrap_phase_means).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InsufficientResamplesError
-from .series import TimeSeries, _frozen_array, _phase_layout, _phase_means
+from .series import TimeSeries, _frozen_array, _phase_layout, _phase_means, as_integer
 
 
 @dataclass(frozen=True)
@@ -33,15 +39,17 @@ class SeedSpec:
     spawn key) feeding a PCG64 generator, so results never depend on thread
     scheduling or execution order. A run of sibling streams seed.child(b),
     b = 0, 1, ..., has its seeds derived together by child_states, bit for bit
-    the ones SeedSequence.spawn would give.
+    the ones SeedSequence.spawn would give. The seed and every label are
+    integers under series.as_integer: 3.0 and numpy integers pass, 3.7 raises
+    ValueError rather than naming the stream of 3.
     """
 
     master_seed: int
     labels: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        labels = tuple(int(v) for v in self.labels)
+        object.__setattr__(self, "master_seed", as_integer(self.master_seed, "master_seed"))
+        labels = tuple(as_integer(v, "a stream label") for v in self.labels)
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         if any(v < 0 for v in labels):
@@ -143,7 +151,8 @@ class _ChildSeed(ISeedSequence):
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself, which skips building a dtype per row.
+        if n_words != _POOL_SIZE or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a child seed holds only the four 64-bit words PCG64 takes")
         return self.state
 
@@ -209,13 +218,18 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
 
     Yields (b, block) for b = 0, rows, 2 * rows, ..., with rows about
     _BLOCK_SLOTS // n: block is a (k, m, n) array, m <= rows, whose [i, j]
-    is row i of values gathered at the indices of resample b + j. It is a
-    buffer that the next block overwrites. A block stacks its resamples' raw
-    PCG64 words and takes the Lemire step over all of them at once; a
-    resample that holds a rejected word (about 1e-4 of them at the hourly
-    bounds) is redrawn by numpy itself.
+    is row i of values gathered at the indices of resample b + j. It is the
+    transposed view of a C-contiguous (m, n, k) buffer that the next block
+    overwrites: the rows of values are the columns of one (n, k) table, so a
+    single take along its first axis gathers every row of a slot together. A
+    block copies its resamples' raw PCG64 words row by row into one buffer (a
+    one-resample block, as at n = 8760, reads them where PCG64 wrote them) and
+    takes the Lemire step over all of them at once; a resample that holds a
+    rejected word (about 1e-4 of them at the hourly bounds) is redrawn by
+    numpy itself.
     """
     k, n = values.shape
+    table = np.ascontiguousarray(values.T)
     phases, counts = _phase_layout(n, p)
     states = child_states(seed, np.arange(resamples, dtype=np.uint32))
     rows = min(resamples, max(1, _BLOCK_SLOTS // n))
@@ -228,16 +242,20 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
     half = (n + 1) // 2
     raw = np.empty((rows, half), dtype="<u8")
     index = np.empty((rows, n), dtype="<u8")
-    block = np.empty((k, rows, n))
+    block = np.empty((rows, n, k))
     for b in range(0, resamples, rows):
         batch = states[b:b + rows]
         m = batch.shape[0]
         if m < rows:
-            raw, index, block = raw[:m], index[:m], np.empty((k, m, n))
-        draws = [np.random.PCG64(_ChildSeed(state)).random_raw(half) for state in batch]
-        # A one-row block reads its words where PCG64 wrote them.
-        words = draws[0][None] if m == 1 else np.stack(draws, out=raw)
-        np.multiply(words.astype("<u8", copy=False).view("<u4")[:, :n], bound, out=index)
+            raw, index, block = raw[:m], index[:m], np.empty((m, n, k))
+        if m == 1:
+            # A one-row block reads its words where PCG64 wrote them and leaves raw untouched.
+            words = np.random.PCG64(_ChildSeed(batch[0])).random_raw(half).astype("<u8", copy=False)[None]
+        else:
+            for j, state in enumerate(batch):
+                raw[j] = np.random.PCG64(_ChildSeed(state)).random_raw(half)
+            words = raw
+        np.multiply(words.view("<u4")[:, :n], bound, out=index)
         # The product's low 32 bits, the first half of each little-endian word.
         low = index.view("<u4")[:, ::2]
         rejected = np.flatnonzero((low < threshold).any(axis=1)) if low.min() < screen else ()
@@ -249,8 +267,8 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
             index[i] = phases + p * generator.integers(0, bounds, size=n)
         # The indices lie in range by construction; under the default "raise"
         # mode numpy would gather into a temporary and copy it to out.
-        values.take(index.view("<i8"), axis=1, out=block, mode="clip")
-        yield b, block
+        table.take(index.view("<i8"), axis=0, out=block, mode="clip")
+        yield b, block.transpose(2, 0, 1)
 
 
 def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
@@ -259,16 +277,23 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     stack is a (k, n) array. Resample b draws one index vector and applies it
     to every row (_resample_blocks), so entry [i, b] holds the p phase means
     of row i resampled by draw b, and series resampled together take the same
-    draws. Returns a (k, resamples, p) array, averaged by _phase_means bit for
-    bit as np.bincount would. n, p and resamples meet the preconditions of
-    _resample_blocks.
+    draws. Returns a (k, resamples, p) array, the transposed view of one
+    (resamples, p, k) buffer: each block of _resample_blocks, read as m series
+    of length n*k whose slot t*k + i holds row i at slot t, is averaged by one
+    _phase_means call at period p*k with every phase count repeated k times.
+    Its phase (t mod p)*k + i holds exactly row i's phase t mod p, added in
+    the same order, so the means are those of np.bincount on each row bit for
+    bit. n, p and resamples meet the preconditions of _resample_blocks.
     """
     values = np.asarray(stack, dtype=float)
-    counts = _phase_layout(values.shape[1], p)[1]
-    estimates = np.empty((values.shape[0], resamples, p))
+    k, n = values.shape
+    counts = np.repeat(_phase_layout(n, p)[1], k)
+    estimates = np.empty((resamples, p, k))
+    means = estimates.reshape(resamples, p * k)
     for b, block in _resample_blocks(values, p, resamples, seed):
-        _phase_means(block, counts, estimates[:, b:b + block.shape[1]])
-    return estimates
+        m = block.shape[1]
+        _phase_means(block.transpose(1, 2, 0).reshape(m, n * k), counts, means[b:b + m])
+    return estimates.transpose(2, 0, 1)
 
 
 def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:

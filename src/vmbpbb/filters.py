@@ -41,10 +41,10 @@ class FilterSpec:
     nu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "m", as_integer(self.m, "window length m", InvalidFilterError))
-        object.__setattr__(self, "k", as_integer(self.k, "iteration count k", InvalidFilterError))
+        m, k = _validate_filter_args(self.m, self.k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "nu", float(self.nu))
-        _validate_filter_args(self.m, self.k)
         if not 0.0 <= self.nu <= 0.5:
             raise InvalidFilterError(f"center frequency {self.nu} outside [0, 0.5]")
 
@@ -80,7 +80,10 @@ class ComplexSeries:
         return self.values.size
 
 
-def _validate_filter_args(m: int, k: int) -> None:
+def _validate_filter_args(m, k) -> tuple:
+    """(m, k) as ints, under the rules every KZ filter shares; a non-integral value such as 3.5 raises."""
+    m = as_integer(m, "window length m", InvalidFilterError)
+    k = as_integer(k, "iteration count k", InvalidFilterError)
     if m < 1 or m % 2 == 0:
         raise InvalidFilterError(f"window length m={m} must be an odd positive integer")
     if k < 1:
@@ -90,6 +93,7 @@ def _validate_filter_args(m: int, k: int) -> None:
         float(m) ** k
     except OverflowError:
         raise InvalidFilterError(f"m**k = {m}**{k} exceeds the float range") from None
+    return m, k
 
 
 def _integer_coefficients(m: int, k: int) -> np.ndarray:
@@ -108,7 +112,7 @@ def kz_coefficients(m: int, k: int) -> np.ndarray:
     window, divided by m^k only at the end. The read-only result has
     k*(m-1)+1 positive, symmetric entries summing to 1.
     """
-    _validate_filter_args(m, k)
+    m, k = _validate_filter_args(m, k)
     weights = np.asarray(_integer_coefficients(m, k) / float(m) ** k, dtype=float)
     weights.setflags(write=False)
     return weights
@@ -195,7 +199,7 @@ def energy_transfer(lam, m: int, k: int, nu: float = 0.0):
     removable singularity at integer d takes its limit value 1. Accepts a
     scalar or an array of frequencies.
     """
-    _validate_filter_args(m, k)
+    m, k = _validate_filter_args(m, k)
     d = np.asarray(lam, dtype=float) - float(nu)
     near_integer = np.abs(d - np.round(d)) < 1e-9
     safe = np.where(near_integer, 0.25, d)
@@ -213,7 +217,7 @@ def half_power_cutoff(m: int, k: int) -> float:
     Approximate by construction; energy_transfer at the returned offset lands
     near 0.5 rather than exactly on it.
     """
-    _validate_filter_args(m, k)
+    m, k = _validate_filter_args(m, k)
     if m == 1:
         raise UndefinedCutoffError("m=1 is all-pass; no half-power point exists")
     half_pow = 0.5 ** (1.0 / (2.0 * k))

@@ -127,6 +127,24 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(1, (-2,))
 
+    @pytest.mark.parametrize("build", [
+        lambda: SeedSpec(3.7),
+        lambda: SeedSpec(3, (1.5,)),
+        lambda: SeedSpec(np.float64(3.25), (1,)),
+        lambda: SeedSpec(3).child(2.9),
+        lambda: SeedSpec(3, (1,)).child(4, np.float64(0.5)),
+    ])
+    def test_rejects_non_integral_seed_and_labels(self, build):
+        # int() would quietly make SeedSpec(3.7, (1.5,)) the stream of SeedSpec(3, (1,)).
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            build()
+
+    def test_integral_floats_and_numpy_integers_are_stored_as_int(self):
+        seed = SeedSpec(3.0, (np.int64(2), 5.0)).child(np.uint32(7))
+        assert seed == SeedSpec(3, (2, 5, 7))
+        assert {type(v) for v in (seed.master_seed,) + seed.labels} == {int}
+        assert SeedSpec(np.uint64(2**64 - 1)).master_seed == 2**64 - 1
+
 
 class TestPhasePartition:
     def test_even_split(self):

@@ -112,6 +112,22 @@ class TestIntegerFields:
         assert (spec.m, spec.k) == (3, 2)
         assert {type(spec.m), type(spec.k)} == {int}
 
+    @pytest.mark.parametrize("m,k", [(3.5, 1), (3, 1.5), (np.float64(5.25), 2), (5, np.float64(2.5))])
+    @pytest.mark.parametrize("function", [
+        lambda m, k: energy_transfer(0.1, m, k),
+        half_power_cutoff,
+        kz_coefficients,
+    ])
+    def test_filter_functions_reject_non_integral_m_and_k(self, function, m, k):
+        # Unchecked, energy_transfer(0.1, 3.5, 1) read 0.679 and half_power_cutoff(3.5, 1.5) 0.105.
+        with pytest.raises(InvalidFilterError, match="must be an integer, got"):
+            function(m, k)
+
+    def test_filter_functions_accept_integral_floats_and_numpy_integers(self):
+        assert energy_transfer(0.1, 3.0, np.int64(2)) == energy_transfer(0.1, 3, 2)
+        assert half_power_cutoff(np.float64(5.0), 2.0) == half_power_cutoff(5, 2)
+        np.testing.assert_array_equal(kz_coefficients(3.0, np.int64(2)), kz_coefficients(3, 2))
+
     @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75)])
     def test_complex_series_rejects_non_integral_start_index(self, start_index):
         with pytest.raises(ValueError, match="start_index must be an integer, got"):

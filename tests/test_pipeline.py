@@ -230,6 +230,21 @@ class TestRunPipeline:
         assert not result.aggregate_band.point.flags.writeable
         assert not bootstrap_periodic_means(series, 4, 3, SeedSpec(0)).flags.writeable
 
+    @pytest.mark.parametrize("resample", list(Resample))
+    def test_paired_estimates_are_read_only_and_never_alias(self, resample):
+        # Under COMPONENTS a period's modes may be views of one (B, p, k) buffer, of disjoint elements.
+        series = TimeSeries(np.random.default_rng(5).normal(size=120))
+        cfg = PipelineConfig(periods=(4, 10), resamples=7, seed=SeedSpec(2), resample=resample)
+        results = run_paired(series, cfg)
+        for pbb, vm in zip(results[Mode.PBB].components, results[Mode.VMBPBB].components):
+            assert pbb.period == vm.period
+            for comp in (pbb, vm):
+                assert comp.estimates.shape == (7, comp.period)
+                assert not comp.estimates.flags.writeable
+                with pytest.raises(ValueError):
+                    comp.estimates[0, 0] = 1.0
+            assert not np.shares_memory(pbb.estimates, vm.estimates)
+
     def test_period_longer_than_series(self):
         with pytest.raises(InvalidPeriodError):
             run_pipeline(TimeSeries(np.zeros(10)), PipelineConfig(periods=(20,), resamples=4, seed=SeedSpec(0)))

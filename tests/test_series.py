@@ -123,3 +123,45 @@ class TestPeriodicMean:
         sizes = [values[s::p].size for s in range(p)]
         assert sum(sizes) == n
         assert float(np.dot(sizes, pm)) == pytest.approx(values.sum())
+
+
+class TestInterleavedPhaseMeans:
+    """k series interleaved as one series of length n*k at period p*k, as bootstrap_phase_means sums them.
+
+    Slot t of series i sits at t*k + i, whose phase at period p*k is
+    (t mod p)*k + i, and that phase counts as many members as phase t mod p.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        rows=st.integers(1, 3),
+        n=st.integers(4, 300),
+        period=st.data(),
+        data_seed=st.integers(0, 2**32 - 1),
+        negative_zero=st.booleans(),
+    )
+    # n = 2p; p divides n; p does not divide n, one phase of three; rows of -0.0 among others.
+    @example(k=2, rows=2, n=100, period=50, data_seed=1, negative_zero=False)
+    @example(k=3, rows=1, n=300, period=50, data_seed=2, negative_zero=False)
+    @example(k=2, rows=3, n=101, period=50, data_seed=3, negative_zero=False)
+    @example(k=3, rows=2, n=97, period=7, data_seed=4, negative_zero=True)
+    def test_equals_each_rows_own_phase_means_bit_for_bit(self, k, rows, n, period, data_seed,
+                                                           negative_zero):
+        p = period if isinstance(period, int) else period.draw(st.integers(2, n // 2), label="p")
+        rng = np.random.default_rng(data_seed)
+        # Both signs, magnitudes from 1e-8 to 1e16, where the summing order shows.
+        values = rng.choice([-1.0, 1.0], (rows, k, n)) * rng.uniform(1.0, 10.0, (rows, k, n))
+        values *= 10.0 ** rng.integers(-8, 16, (rows, k, n))
+        if negative_zero:
+            zero = rng.random((rows, k)) < 0.5
+            zero[0, 0] = True
+            values[zero] = -0.0
+        interleaved = np.ascontiguousarray(values.transpose(0, 2, 1)).reshape(rows, n * k)
+        counts = _phase_layout(n, p)[1]
+        got = _phase_means(interleaved, np.repeat(counts, k), np.empty((rows, p * k))).reshape(rows, p, k)
+        for j in range(rows):
+            for i in range(k):
+                own = phase_means(values[j, i], p)
+                np.testing.assert_array_equal(got[j, :, i].view(np.uint64), own.view(np.uint64))
+                np.testing.assert_array_equal(own.view(np.uint64), bincount_means(values[j, i], p).view(np.uint64))

@@ -10,13 +10,13 @@ per-phase means.
 The resamples of one period are drawn in blocks of about 2**14 slots. The k
 series resampled together (a period's PBB and VMBPBB components) sit as the
 columns of one C-contiguous (n, k) table, so one take along its first axis
-gathers a block's every mode into an (m, n, k) buffer (_resample_blocks).
-Read flat, each of its m rows is one series of length n*k in which slot t of
-series i sits at t*k + i; at period p*k that slot's phase is (t mod p)*k + i.
-So series._phase_means sums the whole block at once, at period p*k with every
-phase count repeated k times, and each phase still adds its members in index
-order: the means are bit for bit those of the one-series-at-a-time loop with
-np.bincount (bootstrap_phase_means).
+gathers a block's every mode into a C-contiguous (m, n, k) buffer
+(_resample_blocks). Read flat, each of its m rows is one series of length n*k
+in which slot t of series i sits at t*k + i; at period p*k that slot's phase
+is (t mod p)*k + i. So series._phase_means sums the whole block at once, at
+period p*k with every phase count repeated k times, into a (B, p, k) array,
+the modes still last, and each phase adds its members in index order: the
+means equal np.bincount's on each series bit for bit (bootstrap_phase_means).
 """
 
 from __future__ import annotations
@@ -217,16 +217,16 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
     series length, for both p = period and p = lcm(periods).
 
     Yields (b, block) for b = 0, rows, 2 * rows, ..., with rows about
-    _BLOCK_SLOTS // n: block is a (k, m, n) array, m <= rows, whose [i, j]
-    is row i of values gathered at the indices of resample b + j. It is the
-    transposed view of a C-contiguous (m, n, k) buffer that the next block
-    overwrites: the rows of values are the columns of one (n, k) table, so a
-    single take along its first axis gathers every row of a slot together. A
-    block copies its resamples' raw PCG64 words row by row into one buffer (a
-    one-resample block, as at n = 8760, reads them where PCG64 wrote them) and
-    takes the Lemire step over all of them at once; a resample that holds a
-    rejected word (about 1e-4 of them at the hourly bounds) is redrawn by
-    numpy itself.
+    _BLOCK_SLOTS // n: block is the C-contiguous (m, n, k) buffer, m <= rows,
+    whose [j, :, i] is row i of values gathered at the indices of resample
+    b + j. The next block overwrites it, and a shorter last block is the first
+    m rows of the same buffers. The rows of values are the columns of one
+    (n, k) table, so a single take along its first axis gathers every row of
+    a slot together. A block copies its resamples' raw PCG64 words row by row
+    into one buffer (a one-resample block, as at n = 8760, reads them where
+    PCG64 wrote them) and takes the Lemire step over all of them at once; a
+    resample that holds a rejected word (about 1e-4 of them at the hourly
+    bounds) is redrawn by numpy itself.
     """
     k, n = values.shape
     table = np.ascontiguousarray(values.T)
@@ -247,7 +247,7 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
         batch = states[b:b + rows]
         m = batch.shape[0]
         if m < rows:
-            raw, index, block = raw[:m], index[:m], np.empty((m, n, k))
+            raw, index, block = raw[:m], index[:m], block[:m]
         if m == 1:
             # A one-row block reads its words where PCG64 wrote them and leaves raw untouched.
             words = np.random.PCG64(_ChildSeed(batch[0])).random_raw(half).astype("<u8", copy=False)[None]
@@ -268,7 +268,7 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
         # The indices lie in range by construction; under the default "raise"
         # mode numpy would gather into a temporary and copy it to out.
         table.take(index.view("<i8"), axis=0, out=block, mode="clip")
-        yield b, block.transpose(2, 0, 1)
+        yield b, block
 
 
 def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
@@ -277,13 +277,12 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     stack is a (k, n) array. Resample b draws one index vector and applies it
     to every row (_resample_blocks), so entry [i, b] holds the p phase means
     of row i resampled by draw b, and series resampled together take the same
-    draws. Returns a (k, resamples, p) array, the transposed view of one
-    (resamples, p, k) buffer: each block of _resample_blocks, read as m series
-    of length n*k whose slot t*k + i holds row i at slot t, is averaged by one
-    _phase_means call at period p*k with every phase count repeated k times.
-    Its phase (t mod p)*k + i holds exactly row i's phase t mod p, added in
-    the same order, so the means are those of np.bincount on each row bit for
-    bit. n, p and resamples meet the preconditions of _resample_blocks.
+    draws. Returns a read-only (k, resamples, p) view, axes permuted, of one
+    C-contiguous (resamples, p, k) buffer: one _phase_means call sums each
+    (m, n, k) block as m series of length n*k at period p*k, every phase count
+    repeated k times (see the module docstring), so the means are those of
+    np.bincount on each row bit for bit. n, p and resamples meet the
+    preconditions of _resample_blocks.
     """
     values = np.asarray(stack, dtype=float)
     k, n = values.shape
@@ -291,8 +290,8 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     estimates = np.empty((resamples, p, k))
     means = estimates.reshape(resamples, p * k)
     for b, block in _resample_blocks(values, p, resamples, seed):
-        m = block.shape[1]
-        _phase_means(block.transpose(1, 2, 0).reshape(m, n * k), counts, means[b:b + m])
+        _phase_means(block.reshape(-1, n * k), counts, means[b:b + len(block)])
+    estimates.setflags(write=False)
     return estimates.transpose(2, 0, 1)
 
 
@@ -304,9 +303,7 @@ def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: S
     run parallelizes without coordination. This is the one-series case of
     bootstrap_phase_means.
     """
-    estimates = bootstrap_phase_means(series.values[None, :], p, resamples, seed)[0]
-    estimates.setflags(write=False)
-    return estimates
+    return bootstrap_phase_means(series.values[None, :], p, resamples, seed)[0]
 
 
 def ci_band(samples, alpha: float = 0.05) -> CIBand:

@@ -63,9 +63,9 @@ class PipelineConfig:
     per-period sub-streams seed.child(p) under COMPONENTS, the whole-series
     draws seed.child(0, b) under SERIES.
 
-    filters holds VMBPBB's designed filter per period, in period order; it is
-    derived from periods and narrow_factor and cannot be set. The period rules
-    and 2 <= resamples <= MAX_RESAMPLES are checked here, not in the kernels.
+    filters holds VMBPBB's filter per period in period order, derived from
+    periods and narrow_factor. The period rules, 2 <= resamples <=
+    MAX_RESAMPLES and a SeedSpec seed are checked here, not in the kernels.
     """
 
     periods: tuple
@@ -85,6 +85,8 @@ class PipelineConfig:
         if self.resamples > MAX_RESAMPLES:
             raise ValueError(f"at most {MAX_RESAMPLES} resamples, got {self.resamples}")
         object.__setattr__(self, "resample", Resample(self.resample))
+        if not isinstance(self.seed, SeedSpec):
+            raise TypeError(f"seed must be a SeedSpec, got {type(self.seed).__name__}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         object.__setattr__(self, "filters", tuple(select_filter_specs(self.periods, self.narrow_factor)))
@@ -149,8 +151,8 @@ def _check_grand_mean(series: TimeSeries) -> None:
         )
 
 
-def mode_filters(cfg: PipelineConfig, n: int, modes) -> dict:
-    """Each mode's filter per period (None = all-pass for PBB) on a length-n series.
+def mode_filters(cfg: PipelineConfig, n: int, modes) -> list:
+    """Each mode's filters in period order (None = all-pass for PBB) on a length-n series.
 
     Holds every rule that ties the series length to a config: every phase of
     every period draws from at least two values (2 * max(periods) <= n), the
@@ -171,43 +173,41 @@ def mode_filters(cfg: PipelineConfig, n: int, modes) -> dict:
     if Mode.VMBPBB in modes:
         for p, spec in zip(cfg.periods, cfg.filters):
             check_window_fits(spec, n, f"the period-{p} filter")
-    return {mode: cfg.filters if mode is Mode.VMBPBB else (None,) * len(cfg.periods)
-            for mode in modes}
+    return [cfg.filters if mode is Mode.VMBPBB else (None,) * len(cfg.periods) for mode in modes]
 
 
-def _component_estimates(comps: dict, cfg: PipelineConfig) -> dict:
-    """Per mode and period, the (B, p) phase means under Resample.COMPONENTS.
+def _component_estimates(comps: list, cfg: PipelineConfig) -> dict:
+    """Per period, the read-only (B, p, k) phase means of the k modes' comps under Resample.COMPONENTS.
 
     Each period's components of all modes are resampled as one stack on
     sub-stream seed.child(p), so every mode takes the same draws. Keying by
     period (not list position) keeps results invariant to the period order.
     """
-    estimates = {mode: {} for mode in comps}
-    for i, p in enumerate(cfg.periods):
-        stack = np.stack([comps[mode][i].values for mode in comps])
-        rows = bootstrap_phase_means(stack, p, cfg.resamples, cfg.seed.child(p))
-        for mode, est in zip(comps, rows):
-            estimates[mode][p] = est
-    return estimates
+    return {p: bootstrap_phase_means(np.stack([comp.values for comp in period_comps]), p, cfg.resamples,
+                                     cfg.seed.child(p)).transpose(1, 2, 0)
+            for p, *period_comps in zip(cfg.periods, *comps)}
 
 
-def _series_estimates(series: TimeSeries, specs: dict, cfg: PipelineConfig) -> dict:
-    """Per mode and period, the (B, p) phase means under Resample.SERIES.
+def _series_estimates(series: TimeSeries, specs: list, cfg: PipelineConfig) -> dict:
+    """Per period, the read-only (B, p, k) phase means of the k modes' specs under Resample.SERIES.
 
-    Row b holds the phase means of the mode's filter (specs entry; None =
-    all-pass) applied to draw b of the series at L = lcm(periods), made on
-    sub-stream cfg.seed.child(0, b) (_resample_blocks). Each block of draws is
-    gathered once and filtered by every mode, row by row, with the arithmetic
-    of reconstruct_component(kzft_apply(draw, spec)).
+    Entry [b, :, i] holds the phase means of mode i's filter (None = all-pass)
+    applied to draw b of the series at L = lcm(periods), made on sub-stream
+    cfg.seed.child(0, b) (_resample_blocks). Each block of draws is gathered
+    once and filtered by every mode, row by row, with the arithmetic of
+    reconstruct_component(kzft_apply(draw, spec)).
     """
     counts = {p: _phase_layout(series.n, p)[1] for p in cfg.periods}
-    estimates = {mode: {p: np.empty((cfg.resamples, p)) for p in cfg.periods} for mode in specs}
-    for b, (draws,) in _resample_blocks(series.values[None], math.lcm(*cfg.periods), cfg.resamples,
-                                        cfg.seed.child(_SERIES_STREAM)):
-        for mode, mode_specs in specs.items():
+    estimates = {p: np.empty((cfg.resamples, p, len(specs))) for p in cfg.periods}
+    for b, block in _resample_blocks(series.values[None], math.lcm(*cfg.periods), cfg.resamples,
+                                     cfg.seed.child(_SERIES_STREAM)):
+        draws = block[..., 0]
+        for i, mode_specs in enumerate(specs):
             for p, spec in zip(cfg.periods, mode_specs):
                 comps = draws if spec is None else np.array([2.0 * _kzft_values(row, spec).real for row in draws])
-                _phase_means(comps, counts[p], estimates[mode][p][b:b + len(draws)])
+                _phase_means(comps, counts[p], estimates[p][b:b + len(draws), :, i])
+    for est in estimates.values():
+        est.setflags(write=False)
     return estimates
 
 
@@ -218,38 +218,32 @@ def _tiled_band(band: CIBand, index: np.ndarray) -> CIBand:
 
 
 def _run_modes(series: TimeSeries, cfg: PipelineConfig, modes) -> dict:
-    """Run the pipeline of every mode in modes on one series with shared draws."""
-    n = series.n
-    specs = mode_filters(cfg, n, modes)
+    """Run every mode in modes on one series with shared draws; modes[i] is entry i of each mode axis."""
+    specs = mode_filters(cfg, series.n, modes)
+    comps = [_components(series, mode_specs) for mode_specs in specs]
+    estimates = (_series_estimates(series, specs, cfg) if cfg.resample is Resample.SERIES
+                 else _component_estimates(comps, cfg))
 
-    comps = {mode: _components(series, specs[mode]) for mode in modes}
-    if cfg.resample is Resample.SERIES:
-        estimates = _series_estimates(series, specs, cfg)
-    else:
-        estimates = _component_estimates(comps, cfg)
-
+    # Each period's estimates are (B, p, k); the trajectories are (k, B, cycle).
     # Every trajectory repeats with period lcm(periods), so the aggregate is
-    # computed on its first L distinct columns and tiled out to n.
-    cycle = min(math.lcm(*cfg.periods), n)
-    tile = np.arange(n) % cycle
+    # computed on its first L distinct columns and tiled out to n. Summing in
+    # ascending-period order keeps the aggregate bit-identical under any
+    # permutation of cfg.periods. Whole cycles of p add through a 4-D view.
+    cycle = min(math.lcm(*cfg.periods), series.n)
+    trajectories = np.zeros((len(modes), cfg.resamples, cycle))
+    for p in sorted(cfg.periods):
+        est, whole = estimates[p].transpose(2, 0, 1), cycle - cycle % p
+        folded = trajectories[..., :whole].reshape(*est.shape[:2], -1, p)
+        folded += est[:, :, None]
+        trajectories[..., whole:] += est[..., :cycle - whole]
+    tile = np.arange(series.n) % cycle
     results = {}
-    for mode in modes:
-        components = []
-        for p, spec, comp in zip(cfg.periods, specs[mode], comps[mode]):
-            est = estimates[mode][p]
-            est.setflags(write=False)
-            components.append(ComponentResult(period=p, filter=spec, component_series=comp,
-                                              estimates=est, alpha=cfg.alpha))
-        # Summing in ascending-period order keeps the aggregate bit-identical
-        # under any permutation of cfg.periods.
-        trajectories = np.zeros((cfg.resamples, cycle))
-        for p in sorted(cfg.periods):
-            trajectories += estimates[mode][p][:, np.arange(cycle) % p]
-        results[mode] = MpcResult(
-            components=tuple(components),
-            aggregate_band=_tiled_band(ci_band(trajectories, cfg.alpha), tile),
-            mode=mode,
-        )
+    for i, mode in enumerate(modes):
+        components = tuple(ComponentResult(period=p, filter=spec, component_series=comp,
+                                           estimates=estimates[p][..., i], alpha=cfg.alpha)
+                           for p, spec, comp in zip(cfg.periods, specs[i], comps[i]))
+        band = _tiled_band(ci_band(trajectories[i], cfg.alpha), tile)
+        results[mode] = MpcResult(components=components, aggregate_band=band, mode=mode)
     # Only a run that completes warns, so a failed run reports its error alone.
     _check_grand_mean(series)
     return results

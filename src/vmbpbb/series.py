@@ -38,9 +38,12 @@ class TimeSeries:
 
 
 def as_integer(value, name: str, error=ValueError) -> int:
-    """value as an int: 50.0 and np.int64(50) pass, a value int() would change, such as 50.5, raises error."""
-    number = int(value)
-    if number != value:
+    """value as an int: 50.0 and np.int64(50) pass; 50.5, which int() would change, +-inf and NaN raise error."""
+    try:
+        number = int(value)
+    except (OverflowError, ValueError):
+        number = None
+    if number is None or number != value:
         raise error(f"{name} must be an integer, got {value!r}")
     return number
 

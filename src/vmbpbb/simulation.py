@@ -80,7 +80,8 @@ class ScenarioConfig:
     pipeline.Resample): COMPONENTS, the default, is the paper's construction;
     SERIES resamples the whole simulated series at lcm(p1, p2). Both modes'
     pipelines are checked against n here (pipeline.mode_filters), and an
-    error from that check names the cell.
+    error from that check names the cell. The fields the PipelineConfig checks
+    are stored as it holds them, so resample="series" is Resample.SERIES.
     """
 
     p1: int
@@ -105,9 +106,11 @@ class ScenarioConfig:
             mode_filters(cfg, self.n, tuple(Mode))
         except ValueError as exc:
             raise type(exc)(f"cell ({self.p1}, {self.p2}) at snr {signal:g}:{noise:g}: {exc}") from None
-        # The periods the pipelines run at, so the simulated sines have the same ones.
+        # As the pipelines run them, so the sines share their periods and equal cells compare equal.
         object.__setattr__(self, "p1", cfg.periods[0])
         object.__setattr__(self, "p2", cfg.periods[1])
+        object.__setattr__(self, "resamples", cfg.resamples)
+        object.__setattr__(self, "resample", cfg.resample)
 
     def pipeline(self, seed: SeedSpec) -> PipelineConfig:
         """The config both pipelines of a repetition run under, drawing from seed."""
@@ -305,6 +308,8 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
         raise InvalidPeriodError("a grid needs at least two periods")
     if not snrs:
         raise ValueError("a grid needs at least one snr")
+    if not isinstance(seed, SeedSpec):
+        raise TypeError(f"seed must be a SeedSpec, got {type(seed).__name__}")
     # narrow_factor is checked as given, also for a pair that every snr auto-narrows.
     for p1, p2 in combinations(sorted(periods), 2):
         try:

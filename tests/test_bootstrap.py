@@ -66,8 +66,8 @@ def index_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:
     Like every caller of _resample_blocks, the tests hold 2 <= p and 2p <= n.
     """
     positions = np.arange(n, dtype=float)[None]
-    return [row.astype(np.int64) for _, (block,) in _resample_blocks(positions, p, resamples, seed)
-            for row in block]
+    return [row.astype(np.int64) for _, block in _resample_blocks(positions, p, resamples, seed)
+            for row in block[..., 0]]
 
 
 def quantile_band(samples, alpha):
@@ -133,9 +133,15 @@ class TestSeedSpec:
         lambda: SeedSpec(np.float64(3.25), (1,)),
         lambda: SeedSpec(3).child(2.9),
         lambda: SeedSpec(3, (1,)).child(4, np.float64(0.5)),
+        lambda: SeedSpec(float("inf")),
+        lambda: SeedSpec(float("-inf")),
+        lambda: SeedSpec(float("nan")),
+        lambda: SeedSpec(3, (np.inf,)),
+        lambda: SeedSpec(3).child(np.nan),
     ])
     def test_rejects_non_integral_seed_and_labels(self, build):
-        # int() would quietly make SeedSpec(3.7, (1.5,)) the stream of SeedSpec(3, (1,)).
+        # int() would quietly make SeedSpec(3.7, (1.5,)) the stream of SeedSpec(3, (1,)),
+        # and raise OverflowError on inf and a bare ValueError on NaN.
         with pytest.raises(ValueError, match="must be an integer, got"):
             build()
 
@@ -209,6 +215,28 @@ class TestPbbResample:
         for slot, pair in [(0, (10, 30)), (1, (20, 40)), (2, (10, 30)), (3, (20, 40))]:
             frac = np.mean(draws[:, slot] == pair[0])
             assert frac == pytest.approx(0.5, abs=0.02)
+
+
+class TestBlockContract:
+    """_resample_blocks hands over the (m, n, k) buffer it fills, the modes on its last axis."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blocks_are_one_reused_c_contiguous_buffer(self, k):
+        n, p, seed = 1000, 50, SeedSpec(4)
+        rows = bootstrap._BLOCK_SLOTS // n
+        resamples = 2 * rows + 1
+        stack = np.random.default_rng(k).normal(size=(k, n))
+        indices = index_rows(n, p, resamples, seed)
+        blocks = []
+        for b, block in _resample_blocks(stack, p, resamples, seed):
+            assert block.flags.c_contiguous
+            assert block.shape == (min(rows, resamples - b), n, k)
+            for j, slab in enumerate(block):
+                np.testing.assert_array_equal(slab, stack[:, indices[b + j]].T)
+            blocks.append(block)
+        assert [block.shape[0] for block in blocks] == [rows, rows, 1]
+        # The one-resample tail is the first row of the buffer the first block filled.
+        assert np.shares_memory(blocks[-1], blocks[0])
 
 
 def numpy_rows(n: int, p: int, resamples: int, seed: SeedSpec) -> list:

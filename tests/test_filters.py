@@ -101,9 +101,11 @@ class TestCoefficients:
 
 
 class TestIntegerFields:
-    @pytest.mark.parametrize("m,k", [(3.5, 1), (3, 1.9), (np.float64(5.25), 2)])
+    @pytest.mark.parametrize("m,k", [(3.5, 1), (3, 1.9), (np.float64(5.25), 2),
+                                     (np.inf, 1), (3, -np.inf), (np.nan, 1)])
     def test_filter_spec_rejects_non_integral_m_and_k(self, m, k):
-        # int() would quietly build FilterSpec(m=3.5, k=1.9) as m=3, k=1.
+        # int() would quietly build FilterSpec(m=3.5, k=1.9) as m=3, k=1, and
+        # raise OverflowError on inf and a bare ValueError on NaN.
         with pytest.raises(InvalidFilterError, match="must be an integer, got"):
             FilterSpec(m=m, k=k, nu=0.0)
 
@@ -112,7 +114,8 @@ class TestIntegerFields:
         assert (spec.m, spec.k) == (3, 2)
         assert {type(spec.m), type(spec.k)} == {int}
 
-    @pytest.mark.parametrize("m,k", [(3.5, 1), (3, 1.5), (np.float64(5.25), 2), (5, np.float64(2.5))])
+    @pytest.mark.parametrize("m,k", [(3.5, 1), (3, 1.5), (np.float64(5.25), 2), (5, np.float64(2.5)),
+                                     (np.inf, 1), (5, -np.inf), (np.nan, 2)])
     @pytest.mark.parametrize("function", [
         lambda m, k: energy_transfer(0.1, m, k),
         half_power_cutoff,
@@ -128,7 +131,7 @@ class TestIntegerFields:
         assert half_power_cutoff(np.float64(5.0), 2.0) == half_power_cutoff(5, 2)
         np.testing.assert_array_equal(kz_coefficients(3.0, np.int64(2)), kz_coefficients(3, 2))
 
-    @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75)])
+    @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75), np.inf, -np.inf, np.nan])
     def test_complex_series_rejects_non_integral_start_index(self, start_index):
         with pytest.raises(ValueError, match="start_index must be an integer, got"):
             ComplexSeries([1j, 2j], start_index=start_index)

@@ -60,9 +60,15 @@ class TestPipelineConfig:
         ((50.5, 100), 20, InvalidPeriodError),
         ((50, np.float64(100.25)), 20, InvalidPeriodError),
         ((50, 100), 20.7, ValueError),
+        ((float("inf"), 50), 20, InvalidPeriodError),
+        ((50, -np.inf), 20, InvalidPeriodError),
+        ((np.nan, 50), 20, InvalidPeriodError),
+        ((50, 100), np.inf, ValueError),
+        ((50, 100), np.nan, ValueError),
     ])
     def test_rejects_non_integral_periods_and_resamples(self, periods, resamples, error):
-        # int() would quietly run 50.5 at period 50 and 20.7 resamples as 20.
+        # int() would quietly run 50.5 at period 50 and 20.7 resamples as 20, and
+        # raise OverflowError on inf and a bare ValueError on NaN.
         with pytest.raises(error, match="must be an integer, got"):
             PipelineConfig(periods=periods, resamples=resamples, seed=SeedSpec(0))
 
@@ -74,6 +80,12 @@ class TestPipelineConfig:
     def test_rejects_unknown_resample(self):
         with pytest.raises(ValueError):
             PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0), resample="blocks")
+
+    @pytest.mark.parametrize("seed", [42, None, np.random.default_rng(0)])
+    def test_rejects_a_seed_that_is_not_a_seed_spec(self, seed):
+        # Unchecked, seed=42 built a config whose run failed in seed.child with AttributeError.
+        with pytest.raises(TypeError, match="seed must be a SeedSpec, got"):
+            PipelineConfig(periods=(25, 50), resamples=10, seed=seed)
 
     def test_filters_designed_once_per_config(self, monkeypatch):
         calls = []
@@ -149,6 +161,20 @@ class TestRunPipeline:
         for comp in result.components:
             assert comp.filter is None
             np.testing.assert_array_equal(comp.component_series.values, series.values)
+
+    @pytest.mark.parametrize("periods,n", [((7, 24), 150), ((24, 7, 5), 130)])
+    def test_aggregate_sums_partial_cycles_when_lcm_exceeds_n(self, periods, n):
+        # cycle = n here, and no period divides it: each period's last partial cycle is summed too.
+        series = TimeSeries(np.random.default_rng(1).normal(size=n))
+        seed = SeedSpec(4)
+        result = run_pipeline(series, PipelineConfig(periods=periods, resamples=20, seed=seed, mode=Mode.PBB))
+        trajectories = np.zeros((20, n))
+        for p in sorted(periods):
+            trajectories += bootstrap_periodic_means(series, p, 20, seed.child(p))[:, np.arange(n) % p]
+        band = ci_band(trajectories, 0.05)
+        np.testing.assert_array_equal(result.aggregate_band.point, trajectories.mean(axis=0))
+        np.testing.assert_array_equal(result.aggregate_band.lower, band.lower)
+        np.testing.assert_array_equal(result.aggregate_band.upper, band.upper)
 
     def test_constant_series_pbb_doubles_mean(self):
         c = 1.5

@@ -29,9 +29,10 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([np.inf])
 
-    @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75)])
+    @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75), np.inf, -np.inf, np.nan])
     def test_rejects_non_integral_start_index(self, start_index):
-        # int() would quietly place TimeSeries([1.0, 2.0], start_index=2.5) at 2.
+        # int() would quietly place TimeSeries([1.0, 2.0], start_index=2.5) at 2,
+        # and raise OverflowError on inf and a bare ValueError on NaN.
         with pytest.raises(ValueError, match="start_index must be an integer, got"):
             TimeSeries([1.0, 2.0], start_index=start_index)
 

@@ -3,6 +3,7 @@ import pytest
 
 from vmbpbb import (
     CIBand,
+    Resample,
     ScenarioConfig,
     SeedSpec,
     TimeSeries,
@@ -54,6 +55,13 @@ class TestScenarioConfig:
         ("n", 200.5, ValueError),
         ("reps", 2.5, ValueError),
         ("resamples", 20.7, ValueError),
+        ("p1", np.inf, InvalidPeriodError),
+        ("p2", np.nan, InvalidPeriodError),
+        ("n", float("inf"), ValueError),
+        ("n", -np.inf, ValueError),
+        ("n", np.nan, ValueError),
+        ("reps", np.inf, ValueError),
+        ("resamples", np.nan, ValueError),
     ])
     def test_rejects_non_integral_sizes(self, field, value, error):
         with pytest.raises(error, match="must be an integer, got"):
@@ -69,6 +77,20 @@ class TestScenarioConfig:
             small_cfg(snr=(0, 2))
         with pytest.raises(ValueError):
             small_cfg(snr=(1, -1))
+
+    def test_rejects_a_seed_that_is_not_a_seed_spec(self):
+        with pytest.raises(TypeError, match="seed must be a SeedSpec, got int"):
+            small_cfg(seed=42)
+
+    def test_stores_resample_and_resamples_as_its_pipeline_does(self):
+        given = ScenarioConfig(p1=50, p2=100, snr=(1, 10), resample="series", resamples=200.0)
+        built = ScenarioConfig(p1=50, p2=100, snr=(1, 10), resample=Resample.SERIES, resamples=200)
+        assert given == built
+        assert repr(given) == repr(built)
+        assert given.resample is Resample.SERIES
+        assert type(given.resamples) is int
+        assert (given.resample, given.resamples) == (given.pipeline(given.seed).resample,
+                                                     given.pipeline(given.seed).resamples)
 
 
 class TestGenerateMpc:
@@ -299,6 +321,14 @@ class TestRunGrid:
     def test_needs_one_snr(self):
         with pytest.raises(ValueError):
             run_grid([10, 25], [], n=100, resamples=10, reps=2, seed=SeedSpec(6))
+
+    def test_rejects_a_seed_that_is_not_a_seed_spec(self, monkeypatch):
+        # Unchecked, seed=42 failed in seed.child with AttributeError.
+        ran = []
+        monkeypatch.setattr("vmbpbb.simulation.run_scenario_detail", lambda cfg, threads: ran.append(cfg))
+        with pytest.raises(TypeError, match="seed must be a SeedSpec, got int"):
+            run_grid([10, 25], [(1, 2)], n=200, resamples=10, reps=2, seed=42)
+        assert ran == []
 
     def test_checks_every_filter_window_before_running(self, monkeypatch):
         ran = []

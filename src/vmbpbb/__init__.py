@@ -16,7 +16,6 @@ from .bootstrap import (
     ci_band,
 )
 from .filters import (
-    ComplexSeries,
     EdgePolicy,
     FilterSpec,
     energy_transfer,
@@ -35,7 +34,7 @@ from .pipeline import (
     run_paired,
     run_pipeline,
 )
-from .series import TimeSeries
+from .series import ComplexSeries, TimeSeries
 from .simulation import (
     GridCell,
     RepRecord,

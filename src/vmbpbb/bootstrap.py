@@ -275,14 +275,14 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     """Bootstrap the periodic means of k equal-length series with shared draws.
 
     stack is a (k, n) array. Resample b draws one index vector and applies it
-    to every row (_resample_blocks), so entry [i, b] holds the p phase means
-    of row i resampled by draw b, and series resampled together take the same
-    draws. Returns a read-only (k, resamples, p) view, axes permuted, of one
-    C-contiguous (resamples, p, k) buffer: one _phase_means call sums each
-    (m, n, k) block as m series of length n*k at period p*k, every phase count
-    repeated k times (see the module docstring), so the means are those of
-    np.bincount on each row bit for bit. n, p and resamples meet the
-    preconditions of _resample_blocks.
+    to every row (_resample_blocks), so series resampled together take the
+    same draws. Returns the read-only, C-contiguous (resamples, p, k) array
+    it fills, whose entry [b, :, i] holds the p phase means of row i
+    resampled by draw b: one _phase_means call sums each (m, n, k) block as
+    m series of length n*k at period p*k, every phase count repeated k times
+    (see the module docstring), so the means are those of np.bincount on
+    each row bit for bit. n, p and resamples meet the preconditions of
+    _resample_blocks.
     """
     values = np.asarray(stack, dtype=float)
     k, n = values.shape
@@ -292,7 +292,7 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     for b, block in _resample_blocks(values, p, resamples, seed):
         _phase_means(block.reshape(-1, n * k), counts, means[b:b + len(block)])
     estimates.setflags(write=False)
-    return estimates.transpose(2, 0, 1)
+    return estimates
 
 
 def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
@@ -301,9 +301,9 @@ def bootstrap_periodic_means(series: TimeSeries, p: int, resamples: int, seed: S
     Returns a read-only (resamples, p) array. Resample b consumes its own
     sub-stream seed.child(b), so rows are reproducible individually and the
     run parallelizes without coordination. This is the one-series case of
-    bootstrap_phase_means.
+    bootstrap_phase_means, its only mode taken as a (resamples, p) view.
     """
-    return bootstrap_phase_means(series.values[None, :], p, resamples, seed)[0]
+    return bootstrap_phase_means(series.values[None, :], p, resamples, seed)[..., 0]
 
 
 def ci_band(samples, alpha: float = 0.05) -> CIBand:

@@ -39,7 +39,7 @@ from .filters import (
     select_filter_specs,
 )
 from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
-from .simulation import REPS_HEADER, read_rep_log, rep_columns, run_grid
+from .simulation import REPS_HEADER, _snr_label, read_rep_log, rep_columns, run_grid
 
 
 @contextlib.contextmanager
@@ -120,10 +120,6 @@ _RESAMPLE_OPTION = click.option(
     help="components: resample each component at its own period (the paper's band); "
          "series: resample the whole input at lcm(periods), needs 2*lcm <= n.",
 )
-
-
-def _snr_label(snr) -> str:
-    return f"{snr[0]:g}:{snr[1]:g}"
 
 
 @click.group(cls=_Main, no_args_is_help=False)

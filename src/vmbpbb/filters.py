@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidFilterError, SeriesTooShortError, UndefinedCutoffError
-from .series import TimeSeries, as_integer, validate_periods
+from .series import ComplexSeries, TimeSeries, as_integer, validate_periods
 
 
 class EdgePolicy(Enum):
@@ -56,28 +56,6 @@ class FilterSpec:
     @property
     def half_width(self) -> int:
         return self.k * (self.m - 1) // 2
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexSeries:
-    """Complex-valued samples at unit spacing, the output of a bandpass filter."""
-
-    values: np.ndarray
-    start_index: int = 0
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a complex series needs at least one sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("complex series samples must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "start_index", as_integer(self.start_index, "start_index"))
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def _validate_filter_args(m, k) -> tuple:

@@ -84,6 +84,7 @@ class PipelineConfig:
             raise InsufficientResamplesError("pipelines need at least 2 resamples")
         if self.resamples > MAX_RESAMPLES:
             raise ValueError(f"at most {MAX_RESAMPLES} resamples, got {self.resamples}")
+        object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "resample", Resample(self.resample))
         if not isinstance(self.seed, SeedSpec):
             raise TypeError(f"seed must be a SeedSpec, got {type(self.seed).__name__}")
@@ -184,7 +185,7 @@ def _component_estimates(comps: list, cfg: PipelineConfig) -> dict:
     period (not list position) keeps results invariant to the period order.
     """
     return {p: bootstrap_phase_means(np.stack([comp.values for comp in period_comps]), p, cfg.resamples,
-                                     cfg.seed.child(p)).transpose(1, 2, 0)
+                                     cfg.seed.child(p))
             for p, *period_comps in zip(cfg.periods, *comps)}
 
 

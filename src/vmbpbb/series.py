@@ -1,4 +1,9 @@
-"""Core time-series value types, the period rules, and the phase-mean kernel."""
+"""The sample types, the period rules, and the phase-mean kernel.
+
+TimeSeries holds real samples (an input series or a component) and
+ComplexSeries the complex output of a bandpass filter; both are frozen
+copies checked by one shared constructor.
+"""
 
 from __future__ import annotations
 
@@ -16,18 +21,22 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TimeSeries:
-    """Ordered real samples at unit spacing; sample i sits at time start_index + i."""
+class _Samples:
+    """A frozen, non-empty 1-D array of finite samples; sample i sits at time start_index + i.
+
+    Each sample type sets _dtype, the dtype its values are stored as, and
+    _noun, the name its error messages give it.
+    """
 
     values: np.ndarray
     start_index: int = 0
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = np.array(self.values, dtype=self._dtype)
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a time series needs at least one sample")
+            raise ValueError(f"a {self._noun} needs at least one sample")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("time series samples must be finite")
+            raise ValueError(f"{self._noun} samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "start_index", as_integer(self.start_index, "start_index"))
@@ -35,6 +44,22 @@ class TimeSeries:
     @property
     def n(self) -> int:
         return self.values.size
+
+
+@dataclass(frozen=True, eq=False)
+class TimeSeries(_Samples):
+    """Ordered real samples at unit spacing; sample i sits at time start_index + i."""
+
+    _dtype = float
+    _noun = "time series"
+
+
+@dataclass(frozen=True, eq=False)
+class ComplexSeries(_Samples):
+    """Complex-valued samples at unit spacing, the output of a bandpass filter."""
+
+    _dtype = complex
+    _noun = "complex series"
 
 
 def as_integer(value, name: str, error=ValueError) -> int:

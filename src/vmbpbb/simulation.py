@@ -61,14 +61,21 @@ def _median(values) -> float:
     return float(part[-1]) if math.isnan(part[-1]) else middle
 
 
+def _snr_label(snr) -> str:
+    """The signal:noise label of an SNR, as messages and tables write it."""
+    return f"{snr[0]:g}:{snr[1]:g}"
+
+
 def _check_snr(snr) -> tuple:
-    """An SNR as (signal, noise) floats: signal > 0, noise >= 0, a finite _scenario_label."""
+    """An SNR as (signal, noise) floats: two parts, signal > 0, noise >= 0, a finite _scenario_label."""
+    if len(snr) != 2:
+        raise ValueError(f"snr {snr!r} must have two parts, signal and noise")
     signal, noise = float(snr[0]), float(snr[1])
     # Written so that NaN fails too.
     if not (signal > 0.0 and noise >= 0.0):
         raise ValueError("snr parts must be positive (noise part may be 0 for noiseless tests)")
     if not math.isfinite(1000.0 * noise / signal):
-        raise ValueError(f"snr {signal:g}:{noise:g} has a noise-to-signal ratio too large to label")
+        raise ValueError(f"snr {_snr_label((signal, noise))} has a noise-to-signal ratio too large to label")
     return signal, noise
 
 
@@ -98,14 +105,13 @@ class ScenarioConfig:
         object.__setattr__(self, "n", as_integer(self.n, "n"))
         object.__setattr__(self, "reps", as_integer(self.reps, "reps"))
         object.__setattr__(self, "snr", _check_snr(self.snr))
-        signal, noise = self.snr
         if self.reps < 1:
             raise ValueError("need at least one repetition")
         try:
             cfg = self.pipeline(self.seed)
             mode_filters(cfg, self.n, tuple(Mode))
         except ValueError as exc:
-            raise type(exc)(f"cell ({self.p1}, {self.p2}) at snr {signal:g}:{noise:g}: {exc}") from None
+            raise type(exc)(f"cell ({self.p1}, {self.p2}) at snr {_snr_label(self.snr)}: {exc}") from None
         # As the pipelines run them, so the sines share their periods and equal cells compare equal.
         object.__setattr__(self, "p1", cfg.periods[0])
         object.__setattr__(self, "p2", cfg.periods[1])
@@ -179,7 +185,9 @@ def generate_mpc(cfg: ScenarioConfig, rng: np.random.Generator):
     """Build one simulated series: two unit sines plus scaled Gaussian noise.
 
     Noise variance is (noise_part / signal_part) times the total signal power
-    sum(amplitude^2 / 2); a zero noise part yields the exact noiseless sum.
+    sum(amplitude^2 / 2). A zero noise part draws noise of scale 0.0, every
+    sample of it +0.0, so the series is the exact noiseless sum: no sine
+    argument is negative, so no sample of the sum is -0.0.
     """
     t = np.arange(cfg.n)
     comp1 = TimeSeries(_AMPLITUDE * np.sin(2.0 * np.pi * t / cfg.p1))
@@ -188,10 +196,7 @@ def generate_mpc(cfg: ScenarioConfig, rng: np.random.Generator):
     signal, noise = cfg.snr
     sigma = math.sqrt((noise / signal) * signal_power)
     mpc = TimeSeries(comp1.values + comp2.values)
-    if sigma == 0.0:
-        series = TimeSeries(mpc.values.copy())
-    else:
-        series = TimeSeries(mpc.values + rng.normal(0.0, sigma, cfg.n))
+    series = TimeSeries(mpc.values + rng.normal(0.0, sigma, cfg.n))
     return series, TrueSignals(comp1=comp1, comp2=comp2, mpc=mpc, noise_sigma=sigma)
 
 

@@ -24,19 +24,14 @@ from vmbpbb import (
     half_power_cutoff,
     kz_coefficients,
     kzft_apply,
-    reconstruct_component,
     run_scenario_detail,
-    select_filter_specs,
 )
 from vmbpbb.bootstrap import bootstrap_periodic_means
 
+from oracles import convolution_oracle, decompose
+
 DESK = dict(n=1000, resamples=200, reps=50)
 SEED = SeedSpec(42)
-
-
-def decompose(series, periods):
-    """One designed bandpass component per period, as the VMBPBB pipeline filters them."""
-    return [reconstruct_component(kzft_apply(series, spec)) for spec in select_filter_specs(periods)]
 
 
 def _report(num, desc, ok, detail=""):
@@ -45,17 +40,6 @@ def _report(num, desc, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def convolution_oracle(m, k):
-    coeffs = [1] * m
-    for _ in range(k - 1):
-        out = [0] * (len(coeffs) + m - 1)
-        for i, c in enumerate(coeffs):
-            for j in range(m):
-                out[i + j] += c
-        coeffs = out
-    return coeffs
 
 
 def _desk_cell(**extra):

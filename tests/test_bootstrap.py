@@ -318,7 +318,7 @@ class TestChildStates:
             # Generator fallback runs too (see the rejected-word test above).
             rows = bootstrap_phase_means(stack, 2, 3, SeedSpec(430))
             bootstrap_phase_means(stack[:, :1000], 50, 40, SeedSpec(7, (2**40, 3)))
-        assert rows.shape == (3, 3, 2)
+        assert rows.shape == (3, 2, 3)
 
     def test_resamples_must_fit_32_bits(self):
         # PipelineConfig holds the bound, so no draw ever sees a larger count.
@@ -327,7 +327,7 @@ class TestChildStates:
 
 
 def reference_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.ndarray:
-    """Reference oracle: one resample at a time, phase sums by np.bincount.
+    """Reference oracle: one resample at a time, phase sums by np.bincount, as a (resamples, p, k) array.
 
     Each row's offsets come from its own PCG64 words by numpy's Lemire rule;
     a row holding a rejected word is redrawn by Generator.integers. Row i's
@@ -354,11 +354,11 @@ def reference_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     bins = (phases + p * np.arange(k)[:, None]).ravel()
     flat = values.ravel()
     starts = n * np.arange(k)[:, None]
-    estimates = np.empty((k, resamples, p))
+    estimates = np.empty((resamples, p, k))
     for b, state in enumerate(child_states(seed, np.arange(resamples, dtype=np.uint32))):
         gathered = flat.take(draw(state) + starts)
         sums = np.bincount(bins, weights=gathered.ravel(), minlength=k * p)
-        estimates[:, b] = sums.reshape(k, p) / counts
+        estimates[b] = (sums.reshape(k, p) / counts).T
     return estimates
 
 
@@ -516,10 +516,10 @@ class TestBootstrapPeriodicMeans:
         stack = rng.normal(size=(3, n))
         seed = SeedSpec(8, (2,))
         rows = bootstrap_phase_means(stack, p, 12, seed)
-        assert rows.shape == (3, 12, p)
-        for values, est in zip(stack, rows):
+        assert rows.shape == (12, p, 3)
+        for i, values in enumerate(stack):
             single = bootstrap_periodic_means(TimeSeries(values), p, 12, seed)
-            np.testing.assert_array_equal(est, single)
+            np.testing.assert_array_equal(rows[..., i], single)
 
 
 class TestCiBand:

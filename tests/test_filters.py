@@ -22,17 +22,7 @@ from vmbpbb.errors import (
 )
 from vmbpbb.filters import _integer_coefficients, _kzft_kernel, _smallest_odd_above, _tap_mass
 
-
-def convolution_oracle(m, k):
-    """Expand (1 + z + ... + z^(m-1))^k with pure-Python integer arithmetic."""
-    coeffs = [1] * m
-    for _ in range(k - 1):
-        out = [0] * (len(coeffs) + m - 1)
-        for i, c in enumerate(coeffs):
-            for j in range(m):
-                out[i + j] += c
-        coeffs = out
-    return coeffs
+from oracles import convolution_oracle
 
 
 def kz(series, m, k, edge=EdgePolicy.RENORMALIZE):

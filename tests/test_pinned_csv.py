@@ -17,6 +17,8 @@ from click.testing import CliRunner
 
 from vmbpbb.cli import main
 
+from oracles import hourly_values
+
 DIGESTS = {
     "filter_periods": {
         "out.csv": "20f042625b055cbcbe210480714cbae0137c9aff54d7f471ca79b9a2af79689d",
@@ -65,13 +67,6 @@ def write_input(path, values, start=0):
     # Written with repr, not the writer under test, so the inputs cannot move with it.
     lines = ["t,value"] + [f"{start + i},{float(v)!r}" for i, v in enumerate(values)]
     path.write_text("\n".join(lines) + "\n")
-
-
-def hourly_values(n):
-    t = np.arange(n)
-    rng = np.random.default_rng(7)
-    return (2.0 * np.sin(2 * np.pi * t / 24) + np.sin(2 * np.pi * t / 168 + 1.0)
-            + rng.normal(0.0, 1.5, n))
 
 
 def signed_zero_values(n):

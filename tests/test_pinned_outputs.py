@@ -22,6 +22,8 @@ from vmbpbb import (
     run_scenario_detail,
 )
 
+from oracles import hourly_values
+
 # Desk cell (50/100, SNR 1:10, n=1000, B=200), 3 repetitions, master seed 42.
 DESK_RECORD_DIGESTS = {
     Resample.COMPONENTS: "82ff4f5860fd577325bed8ebc650482c862a1341730da4bc3f19bbeca552cbd8",
@@ -57,10 +59,7 @@ def result_digest(result) -> str:
 
 
 def hourly_series(n=1000):
-    t = np.arange(n)
-    rng = np.random.default_rng(7)
-    values = (2.0 * np.sin(2 * np.pi * t / 24) + np.sin(2 * np.pi * t / 168 + 1.0)
-              + rng.normal(0.0, 1.5, n))
+    values = hourly_values(n)
     return TimeSeries(values - values.mean())
 
 

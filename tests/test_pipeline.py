@@ -26,16 +26,7 @@ from vmbpbb import bootstrap, pipeline
 from vmbpbb.bootstrap import MAX_RESAMPLES, bootstrap_periodic_means
 from vmbpbb.errors import InsufficientResamplesError, InvalidFilterError, InvalidPeriodError
 
-
-def decompose(series, periods):
-    """One designed bandpass component per period, as the VMBPBB pipeline filters them."""
-    return [reconstruct_component(kzft_apply(series, spec)) for spec in select_filter_specs(periods)]
-
-
-def bincount_means(values, p):
-    """Reference oracle: the phase means of values at period p by np.bincount."""
-    phases = np.arange(len(values)) % p
-    return np.bincount(phases, weights=values, minlength=p) / np.bincount(phases, minlength=p)
+from oracles import bincount_means, decompose
 
 
 def two_sine(n=1000, p1=50, p2=100):
@@ -80,6 +71,24 @@ class TestPipelineConfig:
     def test_rejects_unknown_resample(self):
         with pytest.raises(ValueError):
             PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0), resample="blocks")
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_mode_given_by_value_runs_that_mode(self, mode):
+        # Stored as given, mode="vmbpbb" ran the all-pass PBB pipeline and still read "vmbpbb".
+        values = np.random.default_rng(1).normal(size=200)
+        series = TimeSeries(values - values.mean())
+        cfg = PipelineConfig(periods=(10, 25), resamples=20, seed=SeedSpec(1), mode=mode.value)
+        assert cfg.mode is mode
+        got = run_pipeline(series, cfg)
+        want = run_pipeline(series, replace(cfg, mode=mode))
+        filters = cfg.filters if mode is Mode.VMBPBB else (None, None)
+        assert got.mode is mode and tuple(c.filter for c in got.components) == filters
+        for name in ("lower", "point", "upper"):
+            assert getattr(got.aggregate_band, name).tobytes() == getattr(want.aggregate_band, name).tobytes()
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            PipelineConfig(periods=(4,), resamples=8, seed=SeedSpec(0), mode="x")
 
     @pytest.mark.parametrize("seed", [42, None, np.random.default_rng(0)])
     def test_rejects_a_seed_that_is_not_a_seed_spec(self, seed):

@@ -3,15 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vmbpbb import PipelineConfig, SeedSpec, TimeSeries, run_pipeline
+from vmbpbb import ComplexSeries, PipelineConfig, SeedSpec, TimeSeries, run_pipeline
 from vmbpbb.errors import InvalidPeriodError
 from vmbpbb.series import _phase_layout, _phase_means
 
-
-def bincount_means(values, p):
-    """Reference oracle: each phase's np.bincount weight sum over its member count."""
-    phases = np.arange(values.size) % p
-    return np.bincount(phases, weights=values, minlength=p) / np.bincount(phases, minlength=p)
+from oracles import bincount_means
 
 
 def phase_means(values, p):
@@ -21,13 +17,16 @@ def phase_means(values, p):
 
 
 class TestTimeSeries:
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            TimeSeries([])
-        with pytest.raises(ValueError):
-            TimeSeries([1.0, np.nan])
-        with pytest.raises(ValueError):
-            TimeSeries([np.inf])
+    # Both sample types share one constructor; each names itself in its messages.
+    @pytest.mark.parametrize("kind,noun", [(TimeSeries, "time series"), (ComplexSeries, "complex series")],
+                             ids=["TimeSeries", "ComplexSeries"])
+    def test_rejects_empty_and_nonfinite(self, kind, noun):
+        with pytest.raises(ValueError, match=f"^a {noun} needs at least one sample$"):
+            kind([])
+        with pytest.raises(ValueError, match=f"^{noun} samples must be finite$"):
+            kind([1.0, np.nan])
+        with pytest.raises(ValueError, match=f"^{noun} samples must be finite$"):
+            kind([np.inf])
 
     @pytest.mark.parametrize("start_index", [2.5, -0.5, np.float64(1.75), np.inf, -np.inf, np.nan])
     def test_rejects_non_integral_start_index(self, start_index):

@@ -184,8 +184,10 @@ def test_bytes_that_are_not_utf8_after_a_bad_cell(tmp_path):
     assert assert_same_outcome(path)[1].startswith("series.csv: not UTF-8 text")
 
 
+# The last values are finite but their sum overflows, so the reader takes its row-by-row path and passes them.
 @pytest.mark.parametrize("text", ["", "t,value\n", "t,value\n\n\n", "time,value\n0,1\n", "\ufefft,value\n0,1.5\n",
-                                  "t,value\n0,inf\n", "t,value\n0,1\n1\n", " T , Value \n3,1\n4,2\n"])
+                                  "t,value\n0,inf\n", "t,value\n0,1\n1\n", " T , Value \n3,1\n4,2\n",
+                                  "t,value\n0,1e308\n1,1e308\n2,-1e308\n"])
 def test_small_files_match_oracle(tmp_path, text):
     path = tmp_path / "series.csv"
     path.write_text(text)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,12 @@ class TestScenarioConfig:
             small_cfg(snr=(0, 2))
         with pytest.raises(ValueError):
             small_cfg(snr=(1, -1))
+
+    @pytest.mark.parametrize("snr", [(1,), (1, 10, 5)])
+    def test_rejects_an_snr_without_two_parts(self, snr):
+        # Unchecked, (1,) raised IndexError and (1, 10, 5) was stored as (1.0, 10.0).
+        with pytest.raises(ValueError, match=re.escape(f"snr {snr!r} must have two parts")):
+            small_cfg(snr=snr)
 
     def test_rejects_a_seed_that_is_not_a_seed_spec(self):
         with pytest.raises(TypeError, match="seed must be a SeedSpec, got int"):
@@ -321,6 +329,14 @@ class TestRunGrid:
     def test_needs_one_snr(self):
         with pytest.raises(ValueError):
             run_grid([10, 25], [], n=100, resamples=10, reps=2, seed=SeedSpec(6))
+
+    @pytest.mark.parametrize("snr", [(1,), (1, 10, 5)])
+    def test_rejects_an_snr_without_two_parts(self, monkeypatch, snr):
+        ran = []
+        monkeypatch.setattr("vmbpbb.simulation.run_scenario_detail", lambda cfg, threads: ran.append(cfg))
+        with pytest.raises(ValueError, match=re.escape(f"snr {snr!r} must have two parts")):
+            run_grid([10, 25], [(1, 2), snr], n=200, resamples=10, reps=2, seed=SeedSpec(6))
+        assert ran == []
 
     def test_rejects_a_seed_that_is_not_a_seed_spec(self, monkeypatch):
         # Unchecked, seed=42 failed in seed.child with AttributeError.

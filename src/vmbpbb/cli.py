@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import click
@@ -39,7 +40,7 @@ from .filters import (
     select_filter_specs,
 )
 from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
-from .simulation import REPS_HEADER, _snr_label, read_rep_log, rep_columns, run_grid
+from .simulation import _CELL_COLUMNS, REPS_HEADER, _snr_label, read_rep_log, run_grid
 
 
 @contextlib.contextmanager
@@ -308,61 +309,51 @@ def _load_grid_config(path, scale: str, seed, paper_faithful) -> dict:
 
 
 def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
+    """Write the study files of the cells into outdir; returns their names in writing order.
+
+    Each file is a header and a list of rows. table1 (median CI ratio) and
+    table2 (r2 difference) hold one row per (snr, period) with one column per
+    partner period, empty on the diagonal and where the cells lack the pair;
+    coverage and cells hold one row per cell, and reps.csv, written when
+    write_reps is set, one row per repetition (simulation.REPS_HEADER).
+    """
     periods = sorted({p for c in cells for p in (c.p1, c.p2)})
-    snrs = []
-    for c in cells:
-        if c.snr not in snrs:
-            snrs.append(c.snr)
-    by_key = {(c.snr, c.p1, c.p2): c for c in cells}
+    # dict.fromkeys keeps each SNR once, in the order the cells first give it.
+    snrs = dict.fromkeys(c.snr for c in cells)
 
-    # One table row per (snr, period); one column per partner period, empty on the diagonal.
-    row_keys = [(snr, p_row) for snr in snrs for p_row in periods]
+    def matrix(value_of):
+        # Each cell fills its pair both ways round; no cell pairs a period with itself.
+        values = {(c.snr, *pair): value_of(c) for c in cells for pair in ((c.p1, c.p2), (c.p2, c.p1))}
+        return [[_snr_label(snr), p_row] + [values.get((snr, p_row, p_col)) for p_col in periods]
+                for snr in snrs for p_row in periods]
 
-    def matrix_columns(value_of):
-        def entry(snr, p_row, p_col):
-            cell = by_key.get((snr, min(p_row, p_col), max(p_row, p_col)))
-            return None if p_row == p_col or cell is None else value_of(cell)
+    def place(c):
+        return (*c.snr, c.p1, c.p2, c.narrow_factor)
 
-        return [[_snr_label(snr) for snr, _ in row_keys], [p_row for _, p_row in row_keys]] + [
-            [entry(snr, p_row, p_col) for snr, p_row in row_keys] for p_col in periods
-        ]
-
-    def cell_columns(*getters):
-        return [[get(c) for c in cells] for get in getters]
-
-    header = ["snr", "period"] + [str(p) for p in periods]
-    write_rows_csv(outdir / "table1.csv", header, matrix_columns(lambda c: c.metrics.ci_ratio_median))
-    # Table 2 cells that ran with a narrowed window design carry a '*' suffix.
-    write_rows_csv(
-        outdir / "table2.csv",
-        header,
-        matrix_columns(lambda c: fmt_float(c.metrics.r2_diff) + ("*" if c.narrowed else "")),
-    )
-    write_rows_csv(
-        outdir / "coverage.csv",
-        ["snr", "p1", "p2", "outside_pbb", "outside_vmbpbb"],
-        cell_columns(
-            lambda c: _snr_label(c.snr), lambda c: c.p1, lambda c: c.p2,
-            lambda c: c.metrics.outside_frac_pbb, lambda c: c.metrics.outside_frac_vmbpbb,
+    matrix_header = ["snr", "period"] + [str(p) for p in periods]
+    files = {
+        "table1.csv": (matrix_header, matrix(lambda c: c.metrics.ci_ratio_median)),
+        # Table 2 cells that ran with a narrowed window design carry a '*' suffix.
+        "table2.csv": (matrix_header,
+                       matrix(lambda c: fmt_float(c.metrics.r2_diff) + ("*" if c.narrowed else ""))),
+        "coverage.csv": (
+            ["snr", "p1", "p2", "outside_pbb", "outside_vmbpbb"],
+            [(_snr_label(c.snr), c.p1, c.p2, c.metrics.outside_frac_pbb, c.metrics.outside_frac_vmbpbb)
+             for c in cells],
         ),
-    )
-    write_rows_csv(
-        outdir / "cells.csv",
-        ["snr_signal", "snr_noise", "p1", "p2", "narrow_factor", "narrowed", "reps",
-         "ci_ratio_median", "r2_pbb", "r2_vmbpbb", "r2_diff", "outside_pbb", "outside_vmbpbb"],
-        cell_columns(
-            lambda c: c.snr[0], lambda c: c.snr[1], lambda c: c.p1, lambda c: c.p2,
-            lambda c: c.narrow_factor, lambda c: int(c.narrowed), lambda c: c.metrics.reps_completed,
-            lambda c: c.metrics.ci_ratio_median, lambda c: c.metrics.r2_pbb, lambda c: c.metrics.r2_vmbpbb,
-            lambda c: c.metrics.r2_diff, lambda c: c.metrics.outside_frac_pbb,
-            lambda c: c.metrics.outside_frac_vmbpbb,
+        "cells.csv": (
+            _CELL_COLUMNS + ["narrowed", "reps", "ci_ratio_median", "r2_pbb", "r2_vmbpbb", "r2_diff",
+                             "outside_pbb", "outside_vmbpbb"],
+            [(*place(c), int(c.narrowed), c.metrics.reps_completed, c.metrics.ci_ratio_median,
+              c.metrics.r2_pbb, c.metrics.r2_vmbpbb, c.metrics.r2_diff, c.metrics.outside_frac_pbb,
+              c.metrics.outside_frac_vmbpbb) for c in cells],
         ),
-    )
-    outputs = ["table1.csv", "table2.csv", "coverage.csv", "cells.csv"]
+    }
     if write_reps:
-        write_rows_csv(outdir / "reps.csv", REPS_HEADER, rep_columns(cells))
-        outputs.append("reps.csv")
-    return outputs
+        files["reps.csv"] = (REPS_HEADER, [(*place(c), *astuple(r)) for c in cells for r in c.records])
+    for name, (header, rows) in files.items():
+        write_rows_csv(outdir / name, header, list(zip(*rows)))
+    return list(files)
 
 
 @main.command("simulate")

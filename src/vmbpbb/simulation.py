@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,13 @@ def _snr_label(snr) -> str:
 
 
 def _check_snr(snr) -> tuple:
-    """An SNR as (signal, noise) floats: two parts, signal > 0, noise >= 0, a finite _scenario_label."""
-    if len(snr) != 2:
-        raise ValueError(f"snr {snr!r} must have two parts, signal and noise")
+    """An SNR as (signal, noise) floats: signal > 0, noise >= 0, a finite _scenario_label.
+
+    snr is a tuple or list of two real numbers; a str or bytes of two
+    characters indexes as two parts too, so the container type is checked.
+    """
+    if not (isinstance(snr, (tuple, list)) and len(snr) == 2 and all(isinstance(part, Real) for part in snr)):
+        raise ValueError(f"snr {snr!r} must have two parts, signal and noise, that are real numbers")
     signal, noise = float(snr[0]), float(snr[1])
     # Written so that NaN fails too.
     if not (signal > 0.0 and noise >= 0.0):
@@ -300,6 +305,8 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
              resample: Resample = Resample.COMPONENTS) -> list[GridCell]:
     """Run one scenario per unordered period pair per SNR; each cell keeps its records.
 
+    Each (signal, noise) pair may be given once; (1, 10) and (2, 20) are two SNRs.
+
     resample is passed to every cell's ScenarioConfig (see pipeline.Resample).
 
     With paper_faithful set, the {10, 25} pairs at noise ratios 2 and 5 use a
@@ -325,6 +332,9 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     plan = []
     for snr in snrs:
         snr = _check_snr(snr)
+        # A second copy would run each of its cells twice and write a reps.csv that report rejects.
+        if any(cfg.snr == snr for cfg in plan):
+            raise ValueError(f"snr {_snr_label(snr)} is given twice")
         for p1, p2 in combinations(sorted(periods), 2):
             nf = 2.0 if paper_faithful and _auto_narrow(p1, p2, snr) else narrow_factor
             plan.append(ScenarioConfig(
@@ -342,24 +352,12 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     return cells
 
 
+# The columns that place a cell in the grid; cells.csv and reps.csv rows start with them.
+_CELL_COLUMNS = ["snr_signal", "snr_noise", "p1", "p2", "narrow_factor"]
 # Per-repetition log (reps.csv): one row per record, cells in grid order; the
-# cell's grid coordinates, then the RepRecord fields by name.
-REPS_HEADER = [
-    "snr_signal", "snr_noise", "p1", "p2", "narrow_factor",
-    "rep", "ci_ratio", "outside_pbb", "outside_vmbpbb", "r2_pbb", "r2_vmbpbb",
-]
-
-
-def rep_columns(cells):
-    """The reps.csv columns of the cells' records, one row per repetition."""
-    pairs = [(cell, rec) for cell in cells for rec in cell.records]
-    return [
-        [cell.snr[0] for cell, _ in pairs],
-        [cell.snr[1] for cell, _ in pairs],
-        [cell.p1 for cell, _ in pairs],
-        [cell.p2 for cell, _ in pairs],
-        [cell.narrow_factor for cell, _ in pairs],
-    ] + [[getattr(rec, name) for _, rec in pairs] for name in REPS_HEADER[5:]]
+# cell's grid coordinates, then the RepRecord fields in their declared order,
+# the order read_rep_log rebuilds a RepRecord from.
+REPS_HEADER = _CELL_COLUMNS + [field.name for field in fields(RepRecord)]
 
 
 def read_rep_log(path) -> list[GridCell]:

@@ -570,6 +570,14 @@ class TestCiBand:
         with pytest.raises(InsufficientResamplesError):
             ci_band(np.ones((1, 4)))
 
+    @pytest.mark.parametrize("lower,point,upper,message", [
+        ([0.0, 0.0], [1.0, 1.0], [2.0, 2.0, 2.0], "band arrays must share one length"),
+        ([0.0, 3.0], [1.0, 1.0], [2.0, 2.0], "lower band must not exceed upper band"),
+    ])
+    def test_band_rejects_malformed_arrays(self, lower, point, upper, message):
+        with pytest.raises(ValueError, match=message):
+            CIBand(lower=np.array(lower), point=np.array(point), upper=np.array(upper))
+
     @given(
         resamples=st.one_of(st.integers(2, 12), st.integers(13, 2000)),
         kinds=st.lists(st.sampled_from(["normal", "ties", "constant", "negative zeros"]), min_size=1, max_size=5),

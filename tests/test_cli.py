@@ -572,6 +572,15 @@ class TestSimulateAndReport:
 
 
 class TestTransferCommand:
+    def test_empty_spec_token_is_skipped(self, runner, tmp_path):
+        outputs = []
+        for spec in ("m=3,,k=1", "m=3,k=1"):
+            out = tmp_path / f"{len(outputs)}.csv"
+            result = runner.invoke(main, ["transfer", "--spec", spec, "--grid", "0:0.5:5", "-o", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_common_zero_across_k(self, runner, tmp_path):
         out = tmp_path / "curves.csv"
         args = ["transfer", "-o", str(out), "--grid", "0:0.5:6"]
@@ -737,6 +746,7 @@ def grid_with(**changes):
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1e-300, 1e300]]), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 1e306]]), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[0, 1]]), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 2], [1, 2]]), "config"),
     # Every cell of GRID is auto-narrowed, so its narrow_factor is checked where the grid takes it.
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=0.5), "config"),
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=float("nan")), "config"),
@@ -745,7 +755,7 @@ def grid_with(**changes):
         "spec-unknown-key", "spec-without-k", "spec-without-m", "spec-nu-above-half", "grid-not-object",
         "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
         "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed",
-        "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal",
+        "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal", "grid-snr-repeated",
         "grid-narrow-factor-below-1", "grid-narrow-factor-nan", "grid-narrow-factor-unbounded"])
 def test_malformed_input_exits_with_one_error_line(runner, tmp_path, args, config, category):
     write_series(tmp_path / "series.csv", np.sin(np.arange(100.0)))

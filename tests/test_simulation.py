@@ -80,9 +80,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             small_cfg(snr=(1, -1))
 
-    @pytest.mark.parametrize("snr", [(1,), (1, 10, 5)])
+    @pytest.mark.parametrize("snr", [(1,), (1, 10, 5), pytest.param("15", id="str"),
+                                     pytest.param(b"15", id="bytes"), pytest.param(("1", "10"), id="str-parts")])
     def test_rejects_an_snr_without_two_parts(self, snr):
-        # Unchecked, (1,) raised IndexError and (1, 10, 5) was stored as (1.0, 10.0).
+        # Unchecked, (1,) raised IndexError and (1, 10, 5) was stored as (1.0, 10.0);
+        # "15" ran at 1:5, b"15" at its byte values 49:53, and ("1", "10") at 1:10.
         with pytest.raises(ValueError, match=re.escape(f"snr {snr!r} must have two parts")):
             small_cfg(snr=snr)
 
@@ -144,6 +146,12 @@ class TestCiRatio:
         wide = CIBand(lower=np.zeros(3), point=np.ones(3), upper=np.full(3, 2.0))
         with pytest.raises(DegenerateBandError):
             ci_ratio(wide, flat)
+
+    def test_rejects_bands_of_two_lengths(self):
+        short = CIBand(lower=np.zeros(3), point=np.ones(3), upper=np.full(3, 2.0))
+        long = CIBand(lower=np.zeros(4), point=np.ones(4), upper=np.full(4, 2.0))
+        with pytest.raises(ValueError, match="bands must have equal length"):
+            ci_ratio(short, long)
 
 
 def bits(value) -> int:
@@ -216,6 +224,11 @@ class TestOutsideFraction:
         truth = TimeSeries(np.array([0.0, 5.0, 0.0, -5.0]))
         band = CIBand(lower=np.full(4, -1.0), point=np.zeros(4), upper=np.ones(4))
         assert outside_fraction(band, truth) == 0.5
+
+    def test_rejects_a_truth_of_another_length(self):
+        band = CIBand(lower=np.full(4, -1.0), point=np.zeros(4), upper=np.ones(4))
+        with pytest.raises(ValueError, match="band and truth must share one length"):
+            outside_fraction(band, TimeSeries(np.zeros(5)))
 
 
 class TestRunScenario:
@@ -330,12 +343,22 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid([10, 25], [], n=100, resamples=10, reps=2, seed=SeedSpec(6))
 
-    @pytest.mark.parametrize("snr", [(1,), (1, 10, 5)])
+    @pytest.mark.parametrize("snr", [(1,), (1, 10, 5), pytest.param("15", id="str"),
+                                     pytest.param(b"15", id="bytes"), pytest.param(("1", "10"), id="str-parts")])
     def test_rejects_an_snr_without_two_parts(self, monkeypatch, snr):
         ran = []
         monkeypatch.setattr("vmbpbb.simulation.run_scenario_detail", lambda cfg, threads: ran.append(cfg))
         with pytest.raises(ValueError, match=re.escape(f"snr {snr!r} must have two parts")):
             run_grid([10, 25], [(1, 2), snr], n=200, resamples=10, reps=2, seed=SeedSpec(6))
+        assert ran == []
+
+    def test_rejects_a_repeated_snr(self, monkeypatch):
+        # Unchecked, each cell of 1:2 ran twice and reps.csv held every rep twice, which report
+        # rejects. 2:4 is another SNR, so the error names the third entry.
+        ran = []
+        monkeypatch.setattr("vmbpbb.simulation.run_scenario_detail", lambda cfg, threads: ran.append(cfg))
+        with pytest.raises(ValueError, match=re.escape("snr 1:2 is given twice")):
+            run_grid([10, 25], [(1, 2), (2, 4), [1.0, 2.0]], n=200, resamples=10, reps=2, seed=SeedSpec(6))
         assert ran == []
 
     def test_rejects_a_seed_that_is_not_a_seed_spec(self, monkeypatch):

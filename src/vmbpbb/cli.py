@@ -19,6 +19,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .bootstrap import SeedSpec
@@ -141,6 +142,9 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     """Bandpass-filter a series into one column per component."""
     if (periods_text is None) == (not spec_texts):
         raise ConfigError("give exactly one of --periods or --spec")
+    # Asked of the context, so --help and the manifest keep the default of 1.
+    if spec_texts and click.get_current_context().get_parameter_source("narrow_factor") is not ParameterSource.DEFAULT:
+        raise ConfigError("--narrow-factor applies to --periods only; a --spec gives its own window")
     series = read_series_csv(input_csv)
     edge_policy = EdgePolicy(edge)
     if periods_text is not None:
@@ -150,6 +154,8 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     else:
         specs = [_parse_spec(text) for text in spec_texts]
         names = [f"m{s.m}_k{s.k}_nu{s.nu:g}" for s in specs]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"--spec filters must have distinct column names, got {','.join(names)}")
     if edge_policy is EdgePolicy.RENORMALIZE:
         for spec, name in zip(specs, names):
             check_window_fits(spec, series.n, f"filter {name}")

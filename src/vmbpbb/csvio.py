@@ -1,13 +1,15 @@
 """CSV input/output and run manifests for the command-line surface.
 
-Every input CSV, a ``t,value`` series or a ``reps.csv`` log, is read by one
-streaming reader, ``read_rows``, a chunk of rows at a time: UTF-8 text (a
-leading byte-order mark is skipped), a header that matches after stripping
-spaces and folding case, the header's number of fields on every non-blank
-row, no "_" in a data cell, and at least one data row. A broken rule is a
-CsvFormatError naming the file and, where there is one, the line. In a series
-the time column must be consecutive integers (unit spacing, no gaps) and
-every value finite. Every output CSV is written by one writer,
+Every input CSV, a ``t,value`` series or a ``reps.csv`` log, is checked by
+one streaming reader, ``read_rows``, a row at a time: UTF-8 text (a leading
+byte-order mark is skipped), a header that matches after stripping spaces and
+folding case, the header's number of fields on every non-blank row, no "_" in
+a data cell, and at least one data row. A broken rule is a CsvFormatError
+naming the file and, where there is one, the line. In a series the time
+column must be consecutive integers (unit spacing, no gaps) and every value
+finite. A clean series is parsed a chunk of rows at a time by a fast path
+that only ever accepts; any other file is walked through ``read_rows``, so
+every error comes from the row walk. Every output CSV is written by one writer,
 ``write_rows_csv``, with csv.writer's bytes; floats are written with 17
 significant digits so every file round-trips double precision exactly. A
 manifest is a plain dict written as sorted JSON.
@@ -16,7 +18,6 @@ manifest is a plain dict written as sorted JSON.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import itertools
 import json
@@ -40,33 +41,25 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-# Data rows are read, checked and parsed this many at a time. A chunk that
-# breaks a rule is walked row by row, so its error names the row that a
-# row-by-row reader names.
+# A clean series is parsed this many data rows at a time.
 _CHUNK_ROWS = 2048
 # Every CSV is written this many rows per write, so no whole file is held.
 _PIECE_ROWS = 2048
 
 
-def _check_row(name, lineno, row, width) -> None:
-    if len(row) != width:
-        raise CsvFormatError(f"{name} line {lineno}: expected {width} columns, got {len(row)}")
-    if "_" in "".join(row):
-        cell = next(c for c in row if "_" in c)
-        raise CsvFormatError(f"{name} line {lineno}: {cell!r} is not a number ('_' in a cell)")
+def read_rows(path, header):
+    """Yield (line number, fields) for each non-blank data row of a CSV with this header.
 
-
-def _row_chunks(path, header):
-    """Yield (line number, rows) for runs of consecutive data rows of a CSV with this header.
-
-    The rules of read_rows hold, checked on a chunk of rows at once. Where a
-    chunk holds a blank row or breaks a rule, its rows are yielded one at a
-    time and the first bad row raises, so a caller sees every row before the
-    bad one first. An error met while reading (text that is not UTF-8, a csv
-    error) is raised after the rows read before it have been yielded.
+    The one place the rules every input CSV shares are checked, a row at a
+    time, so a caller never holds the whole file and the first row that breaks
+    a rule names its line. header holds lowercase names; a file's header
+    matches after strip().lower() of each name. CsvFormatError is raised for
+    text that is not UTF-8, an empty file, another header, a row with another
+    field count, a cell holding "_" or over csv's size limit, and no data
+    rows. Every data cell of both input formats is a number, and int() and
+    float() would read "1_0" as 10.
     """
     path = Path(path)
-    width = len(header)
     found = False
     try:
         # utf-8-sig reads past the byte-order mark that some editors write first.
@@ -77,30 +70,18 @@ def _row_chunks(path, header):
                 raise CsvFormatError(f"{path.name}: empty input file")
             if [c.strip().lower() for c in first] != header:
                 raise CsvFormatError(f"{path.name} line 1: expected header {','.join(header)!r}")
-            lineno = 2
-            while True:
-                rows, failure = [], None
-                try:
-                    # extend keeps the rows it read before an error.
-                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-                except (csv.Error, UnicodeDecodeError) as exc:
-                    failure = exc
-                cells = "".join(itertools.chain.from_iterable(rows))
-                if set(map(len, rows)) <= {width} and "_" not in cells:
-                    if rows:
-                        found = True
-                        yield lineno, rows
-                else:
-                    for offset, row in enumerate(rows):
-                        if row:
-                            _check_row(path.name, lineno + offset, row, width)
-                            found = True
-                            yield lineno + offset, [row]
-                if failure is not None:
-                    raise failure
-                if len(rows) < _CHUNK_ROWS:
-                    break
-                lineno += len(rows)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
+                    )
+                if "_" in "".join(row):
+                    cell = next(c for c in row if "_" in c)
+                    raise CsvFormatError(f"{path.name} line {lineno}: {cell!r} is not a number ('_' in a cell)")
+                found = True
+                yield lineno, row
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
@@ -109,43 +90,56 @@ def _row_chunks(path, header):
         raise CsvFormatError(f"{path.name}: no data rows")
 
 
-def read_rows(path, header):
-    """Yield (line number, fields) for each non-blank data row of a CSV with this header.
+def _clean_series(path):
+    """(start, values) of a t,value CSV that read_series_csv accepts, or None.
 
-    header holds lowercase names; a file's header matches after strip().lower()
-    of each name. Rows are read a chunk at a time, so a caller never holds
-    the whole file. The rules every input CSV shares raise CsvFormatError: text
-    that is not UTF-8, an empty file, another header, a row with another field
-    count, a cell holding "_" or over csv's size limit, no data rows. Every data cell of both input
-    formats is a number, and int() and float() would read "1_0" as 10.
+    Only a speed-up: a chunk of rows is checked and parsed a column at a time.
+    Anything it is unsure of (another header or width, "_", a cell int() or
+    float() rejects, a gap in t, a chunk whose sum is not finite, a csv or
+    decoding error, no rows) gives None, and the caller's row walk names the
+    error, if there is one.
     """
-    for lineno, rows in _row_chunks(path, header):
-        yield from enumerate(rows, start=lineno)
-
-
-def _series_rows(name, lineno, rows, last):
-    """(first t, last t, values) of consecutive series rows from line lineno.
-
-    last is the t of the row before them, None at the first row. The columns
-    are parsed whole, the t column compared with the run of integers it must
-    be and the values' sum checked for inf and nan. If that fails, the rows are
-    walked in order, so the first bad row raises the error a row-by-row
-    reader raises.
-    """
-    t_texts, v_texts = zip(*rows)
+    start, values = None, []
     try:
-        times = list(map(int, t_texts))
-        values = list(map(float, v_texts))
-    except ValueError:
-        pass
-    else:
-        first = times[0] if last is None else last + 1
-        # The sum is finite only if every value is; values whose sum overflows
-        # are walked too, and pass.
-        if times == list(range(first, first + len(times))) and math.isfinite(sum(values)):
-            return first, times[-1], values
-    first, values = None, []
-    for lineno, (t_text, v_text) in enumerate(rows, start=lineno):
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            if [c.strip().lower() for c in next(reader, ())] != ["t", "value"]:
+                return None
+            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+                # A blank row is an empty list: width 0, no cells.
+                widths = set(map(len, chunk))
+                if widths - {0, 2} or "_" in "".join(itertools.chain.from_iterable(chunk)):
+                    return None
+                if 2 not in widths:
+                    continue
+                # zip(*) copies a list faster than it drains a filter, so only a chunk with blank rows is filtered.
+                t_texts, v_texts = zip(*(chunk if widths == {2} else filter(None, chunk)))
+                times = list(map(int, t_texts))
+                start = times[0] if start is None else start
+                parsed = list(map(float, v_texts))
+                first = start + len(values)
+                # The sum is finite only if every value is; a sum that overflows goes the slow way too.
+                if times != list(range(first, first + len(times))) or not math.isfinite(sum(parsed)):
+                    return None
+                values += parsed
+    except (csv.Error, ValueError):
+        return None
+    return (start, values) if values else None
+
+
+def read_series_csv(path) -> TimeSeries:
+    """Parse a t,value CSV into a TimeSeries; the first t becomes start_index.
+
+    On top of read_rows' rules, t runs on in steps of one and every value is
+    finite; the first row that breaks one names its line. A clean file is
+    parsed by _clean_series; any other is walked row by row.
+    """
+    clean = _clean_series(path)
+    if clean is not None:
+        return TimeSeries(clean[1], start_index=clean[0])
+    name = Path(path).name
+    start, values = None, []
+    for lineno, (t_text, v_text) in read_rows(path, ["t", "value"]):
         try:
             t = int(t_text)
             value = float(v_text)
@@ -153,26 +147,13 @@ def _series_rows(name, lineno, rows, last):
             raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
         if not math.isfinite(value):
             raise CsvFormatError(f"{name} line {lineno}: {v_text.strip()!r} is not a finite number")
-        values.append(value)
-        if last is not None and t != last + 1:
+        if start is not None and t != start + len(values):
             raise CsvFormatError(
                 f"{name} line {lineno}: time column must be consecutive integers "
-                f"(got {t} after {last})"
+                f"(got {t} after {start + len(values) - 1})"
             )
-        first = t if first is None else first
-        last = t
-    return first, last, values
-
-
-def read_series_csv(path) -> TimeSeries:
-    """Parse a t,value CSV into a TimeSeries; the first t becomes start_index."""
-    name = Path(path).name
-    start = last = None
-    values = []
-    for lineno, rows in _row_chunks(path, ["t", "value"]):
-        first, last, chunk = _series_rows(name, lineno, rows, last)
-        start = first if start is None else start
-        values += chunk
+        start = t if start is None else start
+        values.append(value)
     return TimeSeries(values, start_index=start)
 
 
@@ -186,15 +167,13 @@ def _quoted(text: str) -> str:
 def _texts(column) -> list:
     """The written fields of a column's cells.
 
-    A float64 array is formatted from its ndarray.tolist() floats and a range
-    with str(); neither needs quoting. Any other cell is formatted on its own:
-    floats (np.float64 included, np.float32 not) with 17 significant digits,
-    None as an empty field, the rest with str(); then it is quoted.
+    A float64 array is formatted from its ndarray.tolist() floats, which need
+    no quoting. Any other cell is formatted on its own: floats (np.float64
+    included, np.float32 not) with 17 significant digits, None as an empty
+    field, the rest with str(); then it is quoted.
     """
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         return [fmt_float(v) for v in column.tolist()]
-    if isinstance(column, range):
-        return list(map(str, column))
     return [
         _quoted(fmt_float(cell) if isinstance(cell, float) else ("" if cell is None else str(cell)))
         for cell in column
@@ -241,20 +220,19 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-@functools.cache
-def _environment() -> tuple:
-    """The (key, value) pairs of the host a process runs on; read once per process.
+def _environment() -> dict:
+    """The host a process runs on; platform caches what it looks up.
 
     The draws' bits rest on numpy's PCG64 seeding and the floats on numpy's
     and the platform's arithmetic, so a byte difference between two runs can
     be traced to a difference here.
     """
-    return (
-        ("cpu_count", os.cpu_count()),
-        ("numpy", np.__version__),
-        ("platform", platform.platform()),
-        ("python", platform.python_version()),
-    )
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
 
 
 def manifest_for(command: str, config: dict, outputs, master_seed=None, input_paths=()) -> dict:
@@ -271,7 +249,7 @@ def manifest_for(command: str, config: dict, outputs, master_seed=None, input_pa
         "tool": TOOL_NAME,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "environment": dict(_environment()),
+        "environment": _environment(),
     }
 
 

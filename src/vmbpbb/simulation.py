@@ -68,7 +68,7 @@ def _snr_label(snr) -> str:
 
 
 def _check_snr(snr) -> tuple:
-    """An SNR as (signal, noise) floats: signal > 0, noise >= 0, a finite _scenario_label.
+    """An SNR as (signal, noise) floats: signal > 0, noise >= 0, a finite _seed_key.
 
     snr is a tuple or list of two real numbers; a str or bytes of two
     characters indexes as two parts too, so the container type is checked.
@@ -287,10 +287,15 @@ def run_scenario_detail(cfg: ScenarioConfig, threads: int = 1):
     return _aggregate_records(records), records
 
 
-def _scenario_label(p1: int, p2: int, snr) -> tuple:
-    lo, hi = sorted((p1, p2))
-    # Noise-to-signal ratio keyed in thousandths keeps labels integral.
-    return (lo, hi, int(round(1000.0 * snr[1] / snr[0])))
+def _seed_key(snr) -> int:
+    """The SNR's part of a cell's seed label, its noise-to-signal ratio in thousandths, an integer."""
+    return int(round(1000.0 * snr[1] / snr[0]))
+
+
+def _shared_seeds(snr, keyed: dict) -> ValueError:
+    """The error for snr beside the SNR keyed holds under its _seed_key: their cells would run the same draws."""
+    return ValueError(f"snrs {_snr_label(keyed[_seed_key(snr)])} and {_snr_label(snr)} round to one "
+                      f"noise-to-signal ratio, {_seed_key(snr) / 1000:g}, which keys their cells' seeds")
 
 
 def _auto_narrow(p1: int, p2: int, snr) -> bool:
@@ -305,7 +310,9 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
              resample: Resample = Resample.COMPONENTS) -> list[GridCell]:
     """Run one scenario per unordered period pair per SNR; each cell keeps its records.
 
-    Each (signal, noise) pair may be given once; (1, 10) and (2, 20) are two SNRs.
+    No two SNRs may round to one noise-to-signal ratio in thousandths, which
+    keys a cell's seed: (1, 10) beside (2, 20) or (1, 10.0004) would run the
+    same draws.
 
     resample is passed to every cell's ScenarioConfig (see pipeline.Resample).
 
@@ -329,17 +336,17 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
         except ValueError as exc:
             raise type(exc)(f"cell ({p1}, {p2}): {exc}") from None
     # Every cell's config is built (and so validated) before any cell runs.
-    plan = []
+    plan, keyed = [], {}
     for snr in snrs:
         snr = _check_snr(snr)
-        # A second copy would run each of its cells twice and write a reps.csv that report rejects.
-        if any(cfg.snr == snr for cfg in plan):
-            raise ValueError(f"snr {_snr_label(snr)} is given twice")
+        # _check_snr returns a new tuple, so a repeat of an earlier SNR is rejected too.
+        if keyed.setdefault(_seed_key(snr), snr) is not snr:
+            raise _shared_seeds(snr, keyed)
         for p1, p2 in combinations(sorted(periods), 2):
             nf = 2.0 if paper_faithful and _auto_narrow(p1, p2, snr) else narrow_factor
             plan.append(ScenarioConfig(
                 p1=p1, p2=p2, snr=snr, n=n, resamples=resamples, reps=reps,
-                seed=seed.child(*_scenario_label(p1, p2, snr)), narrow_factor=nf,
+                seed=seed.child(p1, p2, _seed_key(snr)), narrow_factor=nf,
                 resample=resample,
             ))
     cells = []
@@ -366,11 +373,12 @@ def read_rep_log(path) -> list[GridCell]:
     Every field is a finite number, each cell's SNR, period pair and
     narrow_factor pass the rules a grid run checks them by, and every row is
     one a grid run can write: p1 < p2, one narrow_factor and distinct reps
-    >= 0 per cell, outside fractions in [0, 1], ci_ratio and r2 >= 0 (r2 may
-    round a few ulps above 100).
+    >= 0 per cell, no two SNRs whose cells would share seeds, outside
+    fractions in [0, 1], ci_ratio and r2 >= 0 (r2 may round a few ulps above
+    100).
     """
     name = Path(path).name
-    cells = {}
+    cells, keyed = {}, {}
     for lineno, row in read_rows(path, REPS_HEADER):
         try:
             numbers = [float(text) for text in row]
@@ -379,7 +387,10 @@ def read_rep_log(path) -> list[GridCell]:
                 raise ValueError(f"{bad[0].strip()!r} is not a finite number")
             key = (_check_snr(numbers[:2]), int(row[2]), int(row[3]), numbers[4])
             if key not in cells:
-                _, p1, p2, nf = key
+                snr, p1, p2, nf = key
+                # Every cell of one SNR carries it; only another SNR under its key is an error.
+                if keyed.setdefault(_seed_key(snr), snr) != snr:
+                    raise _shared_seeds(snr, keyed)
                 select_filter_specs((p1, p2), nf)
                 if p1 > p2:
                     raise ValueError(f"p1 {p1} is above p2 {p2}")

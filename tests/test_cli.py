@@ -734,6 +734,10 @@ def grid_with(**changes):
     (["filter", "series.csv", "--spec", "m=3"], None, "config"),
     (["filter", "series.csv", "--spec", "k=1"], None, "config"),
     (["filter", "series.csv", "--spec", "m=3,k=1,nu=0.7"], None, "config"),
+    # --narrow-factor narrows the windows --periods designs; given beside --spec it changed nothing.
+    (["filter", "series.csv", "--spec", "m=5,k=1,nu=0.1", "--narrow-factor", "3"], None, "config"),
+    # Column names write nu with :g, so these two specs would write one column name twice.
+    (["filter", "series.csv", "--spec", "m=5,k=1,nu=0.1", "--spec", "m=5,k=1,nu=0.1000001"], None, "config"),
     (["simulate", "--config", "grid.json"], [GRID], "config"),
     (["simulate", "--config", "missing.json"], None, "config"),
     (["simulate", "--config", "grid.json"], grid_with(window=3), "config"),
@@ -747,15 +751,18 @@ def grid_with(**changes):
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 1e306]]), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[0, 1]]), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 2], [1, 2]]), "config"),
+    (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 10], [2, 20]]), "config"),
     # Every cell of GRID is auto-narrowed, so its narrow_factor is checked where the grid takes it.
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=0.5), "config"),
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=float("nan")), "config"),
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=1e308), "config"),
 ], ids=["run-period-not-integer", "run-alpha-above-1", "run-nan-value", "spec-token-without-equals",
-        "spec-unknown-key", "spec-without-k", "spec-without-m", "spec-nu-above-half", "grid-not-object",
+        "spec-unknown-key", "spec-without-k", "spec-without-m", "spec-nu-above-half",
+        "spec-with-narrow-factor", "spec-column-names-collide", "grid-not-object",
         "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
         "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed",
         "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal", "grid-snr-repeated",
+        "grid-snrs-share-seeds",
         "grid-narrow-factor-below-1", "grid-narrow-factor-nan", "grid-narrow-factor-unbounded"])
 def test_malformed_input_exits_with_one_error_line(runner, tmp_path, args, config, category):
     write_series(tmp_path / "series.csv", np.sin(np.arange(100.0)))
@@ -826,11 +833,14 @@ REPS_LOG = ",".join(simulation.REPS_HEADER) + "\n" + REPS_ROW + "\n"
     (REPS_LOG + REPS_ROW + "\n", "reps.csv line 3: rep 0 is negative or repeats within its cell"),
     (REPS_LOG + REPS_ROW.replace("10,25", "25,10") + "\n", "reps.csv line 3: p1 25 is above p2 10"),
     (REPS_LOG + "1,2,10,25,2,1,1.5,0.1,0.2,90,95\n", "reps.csv line 3: a second narrow_factor 2 for cell (10, 25)"),
+    # No grid run writes two SNRs whose cells share seeds.
+    (REPS_LOG + "2,4,10,25,1,0,1.5,0.1,0.2,90,95\n",
+     "reps.csv line 3: snrs 1:2 and 2:4 round to one noise-to-signal ratio, 2, which keys their cells' seeds"),
 ], ids=["wrong-header", "ten-fields", "non-numeric", "header-only", "empty", "nan", "inf", "equal-periods",
         "period-below-2", "zero-signal", "negative-noise", "narrow-factor-below-1", "every-rule-broken",
         "snr-label-overflows",
         "negative-ci-ratio", "outside-above-1", "outside-below-0", "negative-r2", "negative-rep", "repeated-rep",
-        "descending-periods", "second-narrow-factor"])
+        "descending-periods", "second-narrow-factor", "snrs-share-seeds"])
 def test_malformed_rep_log_is_data_error(runner, tmp_path, text, where):
     src = tmp_path / "reps.csv"
     src.write_text(text)

@@ -1,7 +1,8 @@
-"""The chunked, column-wise series reader against the row-by-row reader it replaced.
+"""The series reader, a chunked fast path in front of a row walk, against a row-by-row oracle.
 
 Both readers must give the same TimeSeries bits, or the same CsvFormatError
-message, line number included, for every input.
+message, line number included, for every input. A clean file must be read by
+the fast path alone, without the row walk.
 """
 
 import csv
@@ -143,6 +144,28 @@ def test_fault_at_a_chunk_position_matches_oracle(tmp_path, fault, k, blanks):
 def test_clean_series_over_several_chunks_matches_oracle(tmp_path):
     path = write_lines(tmp_path / "series.csv", series_lines(2 * CHUNK + 1, start=-CHUNK))
     assert assert_same_outcome(path)[1] == -CHUNK
+
+
+def test_clean_files_never_take_the_row_walk(tmp_path, monkeypatch):
+    # A fast path that stopped covering clean input would pass every oracle test, only slower.
+    several = write_lines(tmp_path / "several.csv", series_lines(2 * CHUNK + 1, start=-CHUNK))
+    marked = tmp_path / "marked.csv"
+    marked.write_text(" T , Value \n" + "".join(line + "\n" for line in series_lines(30, start=3)),
+                      encoding="utf-8-sig")
+    quoted = [f'"{t}","{v}"' for t, v in (line.split(",") for line in series_lines(30, start=5))]
+    crlf = write_lines(tmp_path / "crlf.csv", quoted, end="\r\n")
+    # The first chunk ends in a blank row and the last chunk holds nothing but blank rows.
+    lines = series_lines(2 * CHUNK - 1)
+    blanks = write_lines(tmp_path / "blanks.csv", lines[:CHUNK - 1] + [""] + lines[CHUNK - 1:] + ["", "", ""])
+    paths = [several, marked, crlf, blanks]
+    expected = [outcome(read_series_csv_oracle, path) for path in paths]
+
+    def row_walk(path, header):
+        raise AssertionError(f"{Path(path).name} was walked row by row")
+
+    monkeypatch.setattr(csvio, "read_rows", row_walk)
+    assert [outcome(read_series_csv, path) for path in paths] == expected
+    assert all(kind != "error" for kind, _ in expected)
 
 
 def test_quoted_cells_and_crlf_line_ends(tmp_path):

@@ -352,14 +352,27 @@ class TestRunGrid:
             run_grid([10, 25], [(1, 2), snr], n=200, resamples=10, reps=2, seed=SeedSpec(6))
         assert ran == []
 
-    def test_rejects_a_repeated_snr(self, monkeypatch):
-        # Unchecked, each cell of 1:2 ran twice and reps.csv held every rep twice, which report
-        # rejects. 2:4 is another SNR, so the error names the third entry.
+    @pytest.mark.parametrize("snrs,named", [
+        ([(1, 2), (2, 4), [1.0, 2.0]], "1:2 and 2:4"),
+        ([(1, 2), [1.0, 2.0]], "1:2 and 1:2"),
+        ([(1, 10), (1, 10.0004)], "1:10 and 1:10.0004"),
+    ], ids=["scaled", "repeated", "rounds-alike"])
+    def test_rejects_a_repeated_snr(self, monkeypatch, snrs, named):
+        # A cell's seed is keyed by its noise-to-signal ratio in thousandths and the series by the ratio, so
+        # unchecked, 1:2 and 2:4 ran the same draws twice; a repeat of 1:2 also wrote a reps.csv that report
+        # rejects. The error names both SNRs before any cell runs.
         ran = []
         monkeypatch.setattr("vmbpbb.simulation.run_scenario_detail", lambda cfg, threads: ran.append(cfg))
-        with pytest.raises(ValueError, match=re.escape("snr 1:2 is given twice")):
-            run_grid([10, 25], [(1, 2), (2, 4), [1.0, 2.0]], n=200, resamples=10, reps=2, seed=SeedSpec(6))
+        with pytest.raises(ValueError, match=re.escape(f"snrs {named} round to one noise-to-signal ratio")):
+            run_grid([10, 25], snrs, n=200, resamples=10, reps=2, seed=SeedSpec(6))
         assert ran == []
+
+    def test_snrs_a_thousandth_apart_have_their_own_seeds(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("vmbpbb.simulation.run_scenario_detail", lambda cfg, threads: ran.append(cfg) or (None, []))
+        run_grid([10, 25], [(1, 10), (1, 10.001)], n=200, resamples=10, reps=2, seed=SeedSpec(6))
+        assert [cfg.snr for cfg in ran] == [(1.0, 10.0), (1.0, 10.001)]
+        assert ran[0].seed != ran[1].seed
 
     def test_rejects_a_seed_that_is_not_a_seed_spec(self, monkeypatch):
         # Unchecked, seed=42 failed in seed.child with AttributeError.

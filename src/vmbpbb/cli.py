@@ -145,7 +145,6 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     # Asked of the context, so --help and the manifest keep the default of 1.
     if spec_texts and click.get_current_context().get_parameter_source("narrow_factor") is not ParameterSource.DEFAULT:
         raise ConfigError("--narrow-factor applies to --periods only; a --spec gives its own window")
-    series = read_series_csv(input_csv)
     edge_policy = EdgePolicy(edge)
     if periods_text is not None:
         periods = _parse_periods(periods_text)
@@ -156,6 +155,7 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
         names = [f"m{s.m}_k{s.k}_nu{s.nu:g}" for s in specs]
         if len(set(names)) < len(names):
             raise ConfigError(f"--spec filters must have distinct column names, got {','.join(names)}")
+    series = read_series_csv(input_csv)
     if edge_policy is EdgePolicy.RENORMALIZE:
         for spec, name in zip(specs, names):
             check_window_fits(spec, series.n, f"filter {name}")
@@ -195,7 +195,6 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
 @click.option("-o", "--output", "output_dir", required=True, type=click.Path(file_okay=False))
 def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor, resample, output_dir):
     """Bootstrap a series and write per-component and aggregate CI bands."""
-    series = read_series_csv(input_csv)
     periods = _parse_periods(periods_text)
     cfg = PipelineConfig(
         periods=periods,
@@ -206,6 +205,7 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
         alpha=alpha,
         resample=Resample(resample),
     )
+    series = read_series_csv(input_csv)
     # Component bands are built on first read, so they are read under the overflow check too.
     with _finite_arithmetic(input_csv):
         result = run_pipeline(series, cfg)

@@ -7,12 +7,10 @@ folding case, the header's number of fields on every non-blank row, no "_" in
 a data cell, and at least one data row. A broken rule is a CsvFormatError
 naming the file and, where there is one, the line. In a series the time
 column must be consecutive integers (unit spacing, no gaps) and every value
-finite. A clean series is parsed a chunk of rows at a time by a fast path
-that only ever accepts; any other file is walked through ``read_rows``, so
-every error comes from the row walk. Every output CSV is written by one writer,
-``write_rows_csv``, with csv.writer's bytes; floats are written with 17
-significant digits so every file round-trips double precision exactly. A
-manifest is a plain dict written as sorted JSON.
+finite. Every output CSV is written by one writer, ``write_rows_csv``, with
+csv.writer's bytes; floats are written with 17 significant digits so every
+file round-trips double precision exactly. A manifest is a plain dict written
+as sorted JSON.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-# A clean series is parsed this many data rows at a time.
-_CHUNK_ROWS = 2048
 # Every CSV is written this many rows per write, so no whole file is held.
 _PIECE_ROWS = 2048
 
@@ -90,53 +86,12 @@ def read_rows(path, header):
         raise CsvFormatError(f"{path.name}: no data rows")
 
 
-def _clean_series(path):
-    """(start, values) of a t,value CSV that read_series_csv accepts, or None.
-
-    Only a speed-up: a chunk of rows is checked and parsed a column at a time.
-    Anything it is unsure of (another header or width, "_", a cell int() or
-    float() rejects, a gap in t, a chunk whose sum is not finite, a csv or
-    decoding error, no rows) gives None, and the caller's row walk names the
-    error, if there is one.
-    """
-    start, values = None, []
-    try:
-        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            if [c.strip().lower() for c in next(reader, ())] != ["t", "value"]:
-                return None
-            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-                # A blank row is an empty list: width 0, no cells.
-                widths = set(map(len, chunk))
-                if widths - {0, 2} or "_" in "".join(itertools.chain.from_iterable(chunk)):
-                    return None
-                if 2 not in widths:
-                    continue
-                # zip(*) copies a list faster than it drains a filter, so only a chunk with blank rows is filtered.
-                t_texts, v_texts = zip(*(chunk if widths == {2} else filter(None, chunk)))
-                times = list(map(int, t_texts))
-                start = times[0] if start is None else start
-                parsed = list(map(float, v_texts))
-                first = start + len(values)
-                # The sum is finite only if every value is; a sum that overflows goes the slow way too.
-                if times != list(range(first, first + len(times))) or not math.isfinite(sum(parsed)):
-                    return None
-                values += parsed
-    except (csv.Error, ValueError):
-        return None
-    return (start, values) if values else None
-
-
 def read_series_csv(path) -> TimeSeries:
     """Parse a t,value CSV into a TimeSeries; the first t becomes start_index.
 
     On top of read_rows' rules, t runs on in steps of one and every value is
-    finite; the first row that breaks one names its line. A clean file is
-    parsed by _clean_series; any other is walked row by row.
+    finite; the first row that breaks one names its line.
     """
-    clean = _clean_series(path)
-    if clean is not None:
-        return TimeSeries(clean[1], start_index=clean[0])
     name = Path(path).name
     start, values = None, []
     for lineno, (t_text, v_text) in read_rows(path, ["t", "value"]):

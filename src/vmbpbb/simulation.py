@@ -339,9 +339,10 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     plan, keyed = [], {}
     for snr in snrs:
         snr = _check_snr(snr)
-        # _check_snr returns a new tuple, so a repeat of an earlier SNR is rejected too.
-        if keyed.setdefault(_seed_key(snr), snr) is not snr:
+        key = _seed_key(snr)
+        if key in keyed:
             raise _shared_seeds(snr, keyed)
+        keyed[key] = snr
         for p1, p2 in combinations(sorted(periods), 2):
             nf = 2.0 if paper_faithful and _auto_narrow(p1, p2, snr) else narrow_factor
             plan.append(ScenarioConfig(

@@ -729,6 +729,9 @@ def grid_with(**changes):
     (["run", "series.csv", "--periods", "10,x", "--seed", "1"], None, "config"),
     (["run", "series.csv", "--periods", "10,25", "--alpha", "1.5", "--seed", "1"], None, "config"),
     (["run", "nan.csv", "--periods", "10,25", "--seed", "1"], None, "data"),
+    # Every flag is checked before the series is read, so a bad flag is a config error even on a bad file.
+    (["run", "nan.csv", "--periods", "10,x", "--seed", "1"], None, "config"),
+    (["run", "nan.csv", "--periods", "10,25", "--alpha", "1.5", "--seed", "1"], None, "config"),
     (["filter", "series.csv", "--spec", "m=3,k"], None, "config"),
     (["filter", "series.csv", "--spec", "m=3,k=1,q=2"], None, "config"),
     (["filter", "series.csv", "--spec", "m=3"], None, "config"),
@@ -738,6 +741,8 @@ def grid_with(**changes):
     (["filter", "series.csv", "--spec", "m=5,k=1,nu=0.1", "--narrow-factor", "3"], None, "config"),
     # Column names write nu with :g, so these two specs would write one column name twice.
     (["filter", "series.csv", "--spec", "m=5,k=1,nu=0.1", "--spec", "m=5,k=1,nu=0.1000001"], None, "config"),
+    (["filter", "nan.csv", "--spec", "m=3,k"], None, "config"),
+    (["filter", "nan.csv", "--spec", "m=5,k=1,nu=0.1", "--spec", "m=5,k=1,nu=0.1000001"], None, "config"),
     (["simulate", "--config", "grid.json"], [GRID], "config"),
     (["simulate", "--config", "missing.json"], None, "config"),
     (["simulate", "--config", "grid.json"], grid_with(window=3), "config"),
@@ -756,9 +761,11 @@ def grid_with(**changes):
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=0.5), "config"),
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=float("nan")), "config"),
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor=1e308), "config"),
-], ids=["run-period-not-integer", "run-alpha-above-1", "run-nan-value", "spec-token-without-equals",
+], ids=["run-period-not-integer", "run-alpha-above-1", "run-nan-value", "run-bad-period-on-a-bad-file",
+        "run-bad-alpha-on-a-bad-file", "spec-token-without-equals",
         "spec-unknown-key", "spec-without-k", "spec-without-m", "spec-nu-above-half",
-        "spec-with-narrow-factor", "spec-column-names-collide", "grid-not-object",
+        "spec-with-narrow-factor", "spec-column-names-collide", "spec-bad-token-on-a-bad-file",
+        "spec-column-names-collide-on-a-bad-file", "grid-not-object",
         "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
         "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed",
         "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal", "grid-snr-repeated",

@@ -1,25 +1,23 @@
-"""The series reader, a chunked fast path in front of a row walk, against a row-by-row oracle.
+"""The series reader against a row-by-row oracle.
 
 Both readers must give the same TimeSeries bits, or the same CsvFormatError
-message, line number included, for every input. A clean file must be read by
-the fast path alone, without the row walk.
+message, line number included, for every input.
 """
 
 import csv
 import math
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmbpbb import csvio
 from vmbpbb.csvio import read_series_csv
 from vmbpbb.errors import CsvFormatError
 from vmbpbb.series import TimeSeries
 
-CHUNK = csvio._CHUNK_ROWS
+# Faults sit before, at and after row counts of this size, where a reader that parses blocks of rows would split.
+CHUNK = 2048
 
 
 def read_rows_oracle(path, header):
@@ -146,28 +144,6 @@ def test_clean_series_over_several_chunks_matches_oracle(tmp_path):
     assert assert_same_outcome(path)[1] == -CHUNK
 
 
-def test_clean_files_never_take_the_row_walk(tmp_path, monkeypatch):
-    # A fast path that stopped covering clean input would pass every oracle test, only slower.
-    several = write_lines(tmp_path / "several.csv", series_lines(2 * CHUNK + 1, start=-CHUNK))
-    marked = tmp_path / "marked.csv"
-    marked.write_text(" T , Value \n" + "".join(line + "\n" for line in series_lines(30, start=3)),
-                      encoding="utf-8-sig")
-    quoted = [f'"{t}","{v}"' for t, v in (line.split(",") for line in series_lines(30, start=5))]
-    crlf = write_lines(tmp_path / "crlf.csv", quoted, end="\r\n")
-    # The first chunk ends in a blank row and the last chunk holds nothing but blank rows.
-    lines = series_lines(2 * CHUNK - 1)
-    blanks = write_lines(tmp_path / "blanks.csv", lines[:CHUNK - 1] + [""] + lines[CHUNK - 1:] + ["", "", ""])
-    paths = [several, marked, crlf, blanks]
-    expected = [outcome(read_series_csv_oracle, path) for path in paths]
-
-    def row_walk(path, header):
-        raise AssertionError(f"{Path(path).name} was walked row by row")
-
-    monkeypatch.setattr(csvio, "read_rows", row_walk)
-    assert [outcome(read_series_csv, path) for path in paths] == expected
-    assert all(kind != "error" for kind, _ in expected)
-
-
 def test_quoted_cells_and_crlf_line_ends(tmp_path):
     lines = [f'"{t}","{v}"' for t, v in (line.split(",") for line in series_lines(30, start=5))]
     # A quoted cell may span lines; a row counts as one line number all the same.
@@ -197,7 +173,7 @@ def test_field_over_the_size_limit(tmp_path, bad_row):
 
 
 def test_bytes_that_are_not_utf8_after_a_bad_cell(tmp_path):
-    # The bad bytes sit in a later block of the text decoder than the bad cell, in the same chunk.
+    # The bad bytes sit in a later block of the text decoder than the bad cell.
     text = "t,value\n" + "".join(line + "\n" for line in series_lines(CHUNK))
     data = text.replace("\n3,", "\n3,x", 1).encode()
     path = tmp_path / "series.csv"
@@ -207,7 +183,7 @@ def test_bytes_that_are_not_utf8_after_a_bad_cell(tmp_path):
     assert assert_same_outcome(path)[1].startswith("series.csv: not UTF-8 text")
 
 
-# The last values are finite but their sum overflows, so the reader takes its row-by-row path and passes them.
+# The last file's values are finite, though their sum overflows.
 @pytest.mark.parametrize("text", ["", "t,value\n", "t,value\n\n\n", "time,value\n0,1\n", "\ufefft,value\n0,1.5\n",
                                   "t,value\n0,inf\n", "t,value\n0,1\n1\n", " T , Value \n3,1\n4,2\n",
                                   "t,value\n0,1e308\n1,1e308\n2,-1e308\n"])
@@ -227,10 +203,9 @@ row_kinds = st.sampled_from(["good"] * 6 + ["blank", "bad-cell", "field-count", 
                                            "quoted"])
 
 
-@given(st.lists(row_kinds, min_size=1, max_size=30), st.sampled_from([1, 2, 3, 5, 2048]),
-       st.integers(-5, 5), st.sampled_from(["\n", "\r\n"]))
+@given(st.lists(row_kinds, min_size=1, max_size=30), st.integers(-5, 5), st.sampled_from(["\n", "\r\n"]))
 @settings(max_examples=200, deadline=None)
-def test_chunked_reader_matches_oracle(tmp_path_factory, kinds, chunk, start, end):
+def test_random_rows_match_oracle(tmp_path_factory, kinds, start, end):
     lines, t = [], start
     for kind in kinds:
         if kind == "blank":
@@ -244,5 +219,4 @@ def test_chunked_reader_matches_oracle(tmp_path_factory, kinds, chunk, start, en
             line = FAULTS[kind]([line], 0)
         lines.append(line)
     path = write_lines(tmp_path_factory.mktemp("csv") / "series.csv", lines, end=end)
-    with mock.patch.object(csvio, "_CHUNK_ROWS", chunk):
-        assert_same_outcome(path)
+    assert_same_outcome(path)

@@ -1,11 +1,11 @@
 """Command-line interface: filter, run, simulate, transfer, report.
 
 Exit codes: 0 success, 2 configuration error (flags, config files, invalid
-arguments, or arguments that need more memory than can be allocated), 3 data
-error (malformed input CSV, or series values so large that the arithmetic of
-filter or run overflows). Errors print one line to stderr in the form
-``error:<category>: <message>``; click's usage errors and a bare ``vmbpbb``
-are config errors too. One boundary on the command group maps them all.
+arguments, arguments that need more memory than can be allocated, or sizes
+too large to index), 3 data error (malformed input CSV, or series values so
+large that the arithmetic of filter or run overflows). Errors print one line
+to stderr in the form ``error:<category>: <message>``; click's usage errors
+and a bare ``vmbpbb`` are config errors too. One boundary on the command group maps them all.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -23,13 +23,7 @@ from click.core import ParameterSource
 
 from . import __version__
 from .bootstrap import SeedSpec
-from .csvio import (
-    fmt_float,
-    manifest_for,
-    read_series_csv,
-    write_manifest,
-    write_rows_csv,
-)
+from .csvio import manifest_for, read_series_csv, write_manifest, write_rows_csv
 from .errors import ConfigError, CsvFormatError
 from .filters import (
     EdgePolicy,
@@ -41,7 +35,7 @@ from .filters import (
     select_filter_specs,
 )
 from .pipeline import Mode, PipelineConfig, Resample, run_pipeline
-from .simulation import _CELL_COLUMNS, REPS_HEADER, _snr_label, read_rep_log, run_grid
+from .simulation import read_rep_log, run_grid, study_tables
 
 
 @contextlib.contextmanager
@@ -61,6 +55,10 @@ def _exit_contract():
     except MemoryError as exc:
         # Arguments that ask for more memory than the host has, such as a huge --grid count.
         click.echo(f"error:config: out of memory: {exc}", err=True)
+        sys.exit(2)
+    except OverflowError as exc:
+        # Sizes too large to index, such as a grid's reps above sys.maxsize under --threads.
+        click.echo(f"error:config: {exc}", err=True)
         sys.exit(2)
 
 
@@ -172,7 +170,7 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
         "filter",
         {
             "input": str(input_csv),
-            "specs": [{"m": s.m, "k": s.k, "nu": s.nu} for s in specs],
+            "specs": [asdict(s) for s in specs],
             "edge": edge,
             "narrow_factor": narrow_factor,
             "columns": names,
@@ -314,52 +312,11 @@ def _load_grid_config(path, scale: str, seed, paper_faithful) -> dict:
     return values
 
 
-def _write_grid_outputs(outdir: Path, cells, write_reps: bool = True) -> list:
-    """Write the study files of the cells into outdir; returns their names in writing order.
-
-    Each file is a header and a list of rows. table1 (median CI ratio) and
-    table2 (r2 difference) hold one row per (snr, period) with one column per
-    partner period, empty on the diagonal and where the cells lack the pair;
-    coverage and cells hold one row per cell, and reps.csv, written when
-    write_reps is set, one row per repetition (simulation.REPS_HEADER).
-    """
-    periods = sorted({p for c in cells for p in (c.p1, c.p2)})
-    # dict.fromkeys keeps each SNR once, in the order the cells first give it.
-    snrs = dict.fromkeys(c.snr for c in cells)
-
-    def matrix(value_of):
-        # Each cell fills its pair both ways round; no cell pairs a period with itself.
-        values = {(c.snr, *pair): value_of(c) for c in cells for pair in ((c.p1, c.p2), (c.p2, c.p1))}
-        return [[_snr_label(snr), p_row] + [values.get((snr, p_row, p_col)) for p_col in periods]
-                for snr in snrs for p_row in periods]
-
-    def place(c):
-        return (*c.snr, c.p1, c.p2, c.narrow_factor)
-
-    matrix_header = ["snr", "period"] + [str(p) for p in periods]
-    files = {
-        "table1.csv": (matrix_header, matrix(lambda c: c.metrics.ci_ratio_median)),
-        # Table 2 cells that ran with a narrowed window design carry a '*' suffix.
-        "table2.csv": (matrix_header,
-                       matrix(lambda c: fmt_float(c.metrics.r2_diff) + ("*" if c.narrowed else ""))),
-        "coverage.csv": (
-            ["snr", "p1", "p2", "outside_pbb", "outside_vmbpbb"],
-            [(_snr_label(c.snr), c.p1, c.p2, c.metrics.outside_frac_pbb, c.metrics.outside_frac_vmbpbb)
-             for c in cells],
-        ),
-        "cells.csv": (
-            _CELL_COLUMNS + ["narrowed", "reps", "ci_ratio_median", "r2_pbb", "r2_vmbpbb", "r2_diff",
-                             "outside_pbb", "outside_vmbpbb"],
-            [(*place(c), int(c.narrowed), c.metrics.reps_completed, c.metrics.ci_ratio_median,
-              c.metrics.r2_pbb, c.metrics.r2_vmbpbb, c.metrics.r2_diff, c.metrics.outside_frac_pbb,
-              c.metrics.outside_frac_vmbpbb) for c in cells],
-        ),
-    }
-    if write_reps:
-        files["reps.csv"] = (REPS_HEADER, [(*place(c), *astuple(r)) for c in cells for r in c.records])
-    for name, (header, rows) in files.items():
+def _write_grid_outputs(outdir: Path, tables: dict) -> list:
+    """Write each of simulation.study_tables' tables into outdir; returns their names in writing order."""
+    for name, (header, rows) in tables.items():
         write_rows_csv(outdir / name, header, list(zip(*rows)))
-    return list(files)
+    return list(tables)
 
 
 @main.command("simulate")
@@ -387,7 +344,7 @@ def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, ou
     outdir.mkdir(parents=True, exist_ok=True)
     config = {"config": str(config_path), "scale": scale, "resample": resample, "threads": threads}
     config.update((key, value) for key, value in grid.items() if key != "seed")
-    manifest = manifest_for("simulate", config, _write_grid_outputs(outdir, cells),
+    manifest = manifest_for("simulate", config, _write_grid_outputs(outdir, study_tables(cells)),
                             master_seed=grid["seed"], input_paths=[config_path])
     write_manifest(outdir / "manifest.json", manifest)
 
@@ -424,7 +381,7 @@ def cmd_transfer(spec_texts, grid_text, output_path):
     write_rows_csv(output_path, ["m", "k", "nu", "lambda", "energy"], columns)
     manifest = manifest_for(
         "transfer",
-        {"specs": [{"m": s.m, "k": s.k, "nu": s.nu} for s in specs], "grid": grid_text},
+        {"specs": [asdict(s) for s in specs], "grid": grid_text},
         [Path(output_path).name],
     )
     write_manifest(Path(str(output_path) + ".manifest.json"), manifest)
@@ -435,10 +392,12 @@ def cmd_transfer(spec_texts, grid_text, output_path):
 @click.option("-o", "--output", "output_dir", required=True, type=click.Path(file_okay=False))
 def cmd_report(reps_csv, output_dir):
     """Re-aggregate a per-repetition log into the table CSVs."""
-    cells = read_rep_log(reps_csv)
+    tables = study_tables(read_rep_log(reps_csv))
+    # The log it was read from is not written again.
+    del tables["reps.csv"]
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = _write_grid_outputs(outdir, cells, write_reps=False)
+    outputs = _write_grid_outputs(outdir, tables)
     manifest = manifest_for("report", {"input": str(reps_csv)}, outputs, input_paths=[reps_csv])
     write_manifest(outdir / "manifest.json", manifest)
 

@@ -8,17 +8,19 @@ attributable to the bandpass step alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from itertools import combinations
 from numbers import Real
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .bootstrap import CIBand, SeedSpec
-from .csvio import read_rows
+from .csvio import fmt_float, read_rows
 from .errors import CsvFormatError, DegenerateBandError, InvalidPeriodError, UndefinedCorrelationError
 from .filters import select_filter_specs
 from .pipeline import Mode, PipelineConfig, Resample, mode_filters, run_paired
@@ -146,15 +148,15 @@ class TrueSignals:
 
 @dataclass(frozen=True)
 class ScenarioMetrics:
-    """One table cell: CI-size ratio, correlation metrics, coverage."""
+    """One table cell: repetitions, CI-size ratio, correlation metrics, coverage, in cells.csv's column order."""
 
-    ci_ratio_median: float
-    r2_vmbpbb: float
-    r2_pbb: float
-    r2_diff: float
-    outside_frac_vmbpbb: float
-    outside_frac_pbb: float
     reps_completed: int
+    ci_ratio_median: float
+    r2_pbb: float
+    r2_vmbpbb: float
+    r2_diff: float
+    outside_frac_pbb: float
+    outside_frac_vmbpbb: float
 
 
 @dataclass(frozen=True)
@@ -171,19 +173,28 @@ class RepRecord:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One scenario's place in the grid, its aggregated metrics and its per-rep records."""
+    """One scenario's place in the grid and its per-rep records, which its metrics aggregate."""
 
     p1: int
     p2: int
     snr: tuple
     narrow_factor: float
-    metrics: ScenarioMetrics
     records: tuple
+
+    @property
+    def place(self) -> tuple:
+        """The cell's grid coordinates, the _CELL_COLUMNS that cells.csv and reps.csv rows start with."""
+        return (*self.snr, self.p1, self.p2, self.narrow_factor)
 
     @property
     def narrowed(self) -> bool:
         """Whether the cell ran with a narrowed window design (narrow_factor > 1)."""
         return self.narrow_factor > 1.0
+
+    @functools.cached_property
+    def metrics(self) -> ScenarioMetrics:
+        """The medians of the records, computed on first read."""
+        return _aggregate_records(self.records)
 
 
 def generate_mpc(cfg: ScenarioConfig, rng: np.random.Generator):
@@ -255,13 +266,13 @@ def _aggregate_records(records) -> ScenarioMetrics:
     r2_vm = _median([r.r2_vmbpbb for r in records])
     r2_pbb = _median([r.r2_pbb for r in records])
     return ScenarioMetrics(
-        ci_ratio_median=_median([r.ci_ratio for r in records]),
-        r2_vmbpbb=r2_vm,
-        r2_pbb=r2_pbb,
-        r2_diff=r2_vm - r2_pbb,
-        outside_frac_vmbpbb=_median([r.outside_vmbpbb for r in records]),
-        outside_frac_pbb=_median([r.outside_pbb for r in records]),
         reps_completed=len(records),
+        ci_ratio_median=_median([r.ci_ratio for r in records]),
+        r2_pbb=r2_pbb,
+        r2_vmbpbb=r2_vm,
+        r2_diff=r2_vm - r2_pbb,
+        outside_frac_pbb=_median([r.outside_pbb for r in records]),
+        outside_frac_vmbpbb=_median([r.outside_vmbpbb for r in records]),
     )
 
 
@@ -319,8 +330,8 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
     With paper_faithful set, the {10, 25} pairs at noise ratios 2 and 5 use a
     doubled window design (narrow_factor = 2). A cell counts as narrowed when
     its narrow_factor exceeds 1, whichever way it got there. Scenario seeds
-    are keyed by (low period, high period, snr), so extending the grid never
-    perturbs existing cells.
+    are keyed by (p1, p2, _seed_key(snr)), p1 the lower period, so extending
+    the grid never perturbs existing cells.
     """
     periods = validate_periods(periods)
     if len(periods) < 2:
@@ -329,8 +340,9 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
         raise ValueError("a grid needs at least one snr")
     if not isinstance(seed, SeedSpec):
         raise TypeError(f"seed must be a SeedSpec, got {type(seed).__name__}")
+    pairs = list(combinations(sorted(periods), 2))
     # narrow_factor is checked as given, also for a pair that every snr auto-narrows.
-    for p1, p2 in combinations(sorted(periods), 2):
+    for p1, p2 in pairs:
         try:
             select_filter_specs((p1, p2), narrow_factor)
         except ValueError as exc:
@@ -343,33 +355,70 @@ def run_grid(periods, snrs, *, n: int = 1000, resamples: int = 200, reps: int = 
         if key in keyed:
             raise _shared_seeds(snr, keyed)
         keyed[key] = snr
-        for p1, p2 in combinations(sorted(periods), 2):
+        for p1, p2 in pairs:
             nf = 2.0 if paper_faithful and _auto_narrow(p1, p2, snr) else narrow_factor
             plan.append(ScenarioConfig(
                 p1=p1, p2=p2, snr=snr, n=n, resamples=resamples, reps=reps,
                 seed=seed.child(p1, p2, _seed_key(snr)), narrow_factor=nf,
                 resample=resample,
             ))
-    cells = []
-    for cfg in plan:
-        metrics, records = run_scenario_detail(cfg, threads)
-        cells.append(GridCell(
-            p1=cfg.p1, p2=cfg.p2, snr=cfg.snr, narrow_factor=cfg.narrow_factor,
-            metrics=metrics, records=tuple(records),
-        ))
-    return cells
+    return [GridCell(p1=cfg.p1, p2=cfg.p2, snr=cfg.snr, narrow_factor=cfg.narrow_factor,
+                     records=tuple(run_scenario_detail(cfg, threads)[1]))
+            for cfg in plan]
 
 
-# The columns that place a cell in the grid; cells.csv and reps.csv rows start with them.
+# The columns of GridCell.place; cells.csv and reps.csv rows start with them.
 _CELL_COLUMNS = ["snr_signal", "snr_noise", "p1", "p2", "narrow_factor"]
 # Per-repetition log (reps.csv): one row per record, cells in grid order; the
-# cell's grid coordinates, then the RepRecord fields in their declared order,
-# the order read_rep_log rebuilds a RepRecord from.
+# cell's place, then the RepRecord fields in their declared order, the order
+# read_rep_log rebuilds a RepRecord from.
 REPS_HEADER = _CELL_COLUMNS + [field.name for field in fields(RepRecord)]
+# A record's values in REPS_HEADER's order. astuple deep-copies each record,
+# about 7 us a record on a 2-core x86 host: 0.2 s for a paper grid's 30000.
+_record_values = attrgetter(*REPS_HEADER[len(_CELL_COLUMNS):])
+
+
+def study_tables(cells) -> dict:
+    """The study files of the cells, {file name: (header, rows)}, in writing order.
+
+    table1 (median CI ratio) and table2 (r2 difference) hold one row per (snr,
+    period) with one column per partner period, empty on the diagonal and
+    where the cells lack the pair; coverage and cells hold one row per cell,
+    cells.csv's metric columns in ScenarioMetrics' field order; and reps.csv,
+    the log read_rep_log reads back, one row per repetition (REPS_HEADER).
+    """
+    periods = sorted({p for c in cells for p in (c.p1, c.p2)})
+    # dict.fromkeys keeps each SNR once, in the order the cells first give it.
+    snrs = dict.fromkeys(c.snr for c in cells)
+
+    def matrix(value_of):
+        # Each cell fills its pair both ways round; no cell pairs a period with itself.
+        values = {(c.snr, *pair): value_of(c) for c in cells for pair in ((c.p1, c.p2), (c.p2, c.p1))}
+        return [[_snr_label(snr), p_row] + [values.get((snr, p_row, p_col)) for p_col in periods]
+                for snr in snrs for p_row in periods]
+
+    matrix_header = ["snr", "period"] + [str(p) for p in periods]
+    return {
+        "table1.csv": (matrix_header, matrix(lambda c: c.metrics.ci_ratio_median)),
+        # Table 2 cells that ran with a narrowed window design carry a '*' suffix.
+        "table2.csv": (matrix_header,
+                       matrix(lambda c: fmt_float(c.metrics.r2_diff) + ("*" if c.narrowed else ""))),
+        "coverage.csv": (
+            ["snr", "p1", "p2", "outside_pbb", "outside_vmbpbb"],
+            [(_snr_label(c.snr), c.p1, c.p2, c.metrics.outside_frac_pbb, c.metrics.outside_frac_vmbpbb)
+             for c in cells],
+        ),
+        "cells.csv": (
+            _CELL_COLUMNS + ["narrowed", "reps", "ci_ratio_median", "r2_pbb", "r2_vmbpbb", "r2_diff",
+                             "outside_pbb", "outside_vmbpbb"],
+            [(*c.place, int(c.narrowed), *astuple(c.metrics)) for c in cells],
+        ),
+        "reps.csv": (REPS_HEADER, [(*c.place, *_record_values(r)) for c in cells for r in c.records]),
+    }
 
 
 def read_rep_log(path) -> list[GridCell]:
-    """Rebuild the grid cells, metrics included, from a reps.csv log.
+    """Rebuild the grid cells from a reps.csv log, the inverse of study_tables' reps.csv.
 
     Every field is a finite number, each cell's SNR, period pair and
     narrow_factor pass the rules a grid run checks them by, and every row is
@@ -379,6 +428,7 @@ def read_rep_log(path) -> list[GridCell]:
     100).
     """
     name = Path(path).name
+    width = len(_CELL_COLUMNS)
     cells, keyed = {}, {}
     for lineno, row in read_rows(path, REPS_HEADER):
         try:
@@ -386,30 +436,29 @@ def read_rep_log(path) -> list[GridCell]:
             bad = [text for text, value in zip(row, numbers) if not math.isfinite(value)]
             if bad:
                 raise ValueError(f"{bad[0].strip()!r} is not a finite number")
-            key = (_check_snr(numbers[:2]), int(row[2]), int(row[3]), numbers[4])
-            if key not in cells:
-                snr, p1, p2, nf = key
+            # The periods are read from their text, so int() refuses "10.5" rather than truncate it.
+            place = (*_check_snr(numbers[:2]), *map(int, row[2:width - 1]), numbers[width - 1])
+            if place not in cells:
+                signal, noise, p1, p2, nf = place
+                snr = (signal, noise)
                 # Every cell of one SNR carries it; only another SNR under its key is an error.
                 if keyed.setdefault(_seed_key(snr), snr) != snr:
                     raise _shared_seeds(snr, keyed)
                 select_filter_specs((p1, p2), nf)
                 if p1 > p2:
                     raise ValueError(f"p1 {p1} is above p2 {p2}")
-                if any(other[:3] == key[:3] for other in cells):
+                if any(other[:-1] == place[:-1] for other in cells):
                     raise ValueError(f"a second narrow_factor {nf:g} for cell ({p1}, {p2})")
-                cells[key] = {}
-            for field, value in zip(REPS_HEADER[6:], numbers[6:]):
+                cells[place] = {}
+            for field, value in zip(REPS_HEADER[width + 1:], numbers[width + 1:]):
                 top = 1.0 if field.startswith("outside") else math.inf
                 if not 0.0 <= value <= top:
                     raise ValueError(f"{field} {value:g} is outside [0, {top:g}]")
-            rep = int(row[5])
-            if rep < 0 or rep in cells[key]:
+            rep = int(row[width])
+            if rep < 0 or rep in cells[place]:
                 raise ValueError(f"rep {rep} is negative or repeats within its cell")
         except ValueError as exc:
             raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
-        cells[key][rep] = RepRecord(rep, *numbers[6:])
-    return [
-        GridCell(p1=p1, p2=p2, snr=snr, narrow_factor=nf,
-                 metrics=_aggregate_records(records.values()), records=tuple(records.values()))
-        for (snr, p1, p2, nf), records in cells.items()
-    ]
+        cells[place][rep] = RepRecord(rep, *numbers[width + 1:])
+    return [GridCell(p1=p1, p2=p2, snr=(signal, noise), narrow_factor=nf, records=tuple(records.values()))
+            for (signal, noise, p1, p2, nf), records in cells.items()]

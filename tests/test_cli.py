@@ -751,6 +751,8 @@ def grid_with(**changes):
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor="x"), "config"),
     (["simulate", "--config", "grid.json"], grid_with(paper_faithful=1), "config"),
     (["simulate", "--config", "grid.json"], grid_with(reps=0), "config"),
+    # Too many repetitions to list one task each for the pool.
+    (["simulate", "--config", "grid.json", "--threads", "2"], grid_with(reps=10**30), "config"),
     (["simulate", "--config", "grid.json"], grid_with(seed=DROPPED), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1e-300, 1e300]]), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1, 1e306]]), "config"),
@@ -767,7 +769,8 @@ def grid_with(**changes):
         "spec-with-narrow-factor", "spec-column-names-collide", "spec-bad-token-on-a-bad-file",
         "spec-column-names-collide-on-a-bad-file", "grid-not-object",
         "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
-        "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-no-seed",
+        "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-reps-above-maxsize",
+        "grid-no-seed",
         "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal", "grid-snr-repeated",
         "grid-snrs-share-seeds",
         "grid-narrow-factor-below-1", "grid-narrow-factor-nan", "grid-narrow-factor-unbounded"])

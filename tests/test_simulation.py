@@ -23,7 +23,8 @@ from vmbpbb.errors import (
     InvalidPeriodError,
     UndefinedCorrelationError,
 )
-from vmbpbb.simulation import _median, _squared_correlation_percent
+from vmbpbb.csvio import write_rows_csv
+from vmbpbb.simulation import _median, _squared_correlation_percent, read_rep_log, study_tables
 
 
 def small_cfg(**overrides):
@@ -395,3 +396,19 @@ class TestRunGrid:
         cells = run_grid([10, 25, 50], [(1, 2)], n=201, resamples=4, reps=1, seed=SeedSpec(6),
                          narrow_factor=2.0)
         assert [(c.narrow_factor, c.narrowed) for c in cells] == [(2.0, True)] * 3
+
+
+class TestStudyTables:
+    def test_reps_log_round_trips(self, tmp_path):
+        # Two SNRs; at 1:2 the (10, 25) cell is auto-narrowed.
+        cells = run_grid([10, 25, 50], [(1, 2), (1, 10)], n=200, resamples=10, reps=2, seed=SeedSpec(6))
+        assert [c.place for c in cells if c.narrowed] == [(1.0, 2.0, 10, 25, 2.0)]
+        tables = study_tables(cells)
+        header, rows = tables.pop("reps.csv")
+        write_rows_csv(tmp_path / "reps.csv", header, list(zip(*rows)))
+        back = read_rep_log(tmp_path / "reps.csv")
+        assert [c.place for c in back] == [c.place for c in cells]
+        assert back == cells
+        rebuilt = study_tables(back)
+        del rebuilt["reps.csv"]
+        assert rebuilt == tables

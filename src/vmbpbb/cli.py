@@ -49,16 +49,12 @@ def _exit_contract():
     except CsvFormatError as exc:
         click.echo(f"error:data: {exc}", err=True)
         sys.exit(3)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         click.echo(f"error:config: {exc}", err=True)
         sys.exit(2)
     except MemoryError as exc:
         # Arguments that ask for more memory than the host has, such as a huge --grid count.
         click.echo(f"error:config: out of memory: {exc}", err=True)
-        sys.exit(2)
-    except OverflowError as exc:
-        # Sizes too large to index, such as a grid's reps above sys.maxsize under --threads.
-        click.echo(f"error:config: {exc}", err=True)
         sys.exit(2)
 
 
@@ -113,6 +109,16 @@ def _parse_spec(text: str) -> FilterSpec:
         raise ConfigError(f"bad --spec value in {text!r}: {exc}") from exc
 
 
+def _write_outputs(command, manifest_path, files, config, **manifest_kw):
+    """Write each CSV of files, {path: (header, columns[, cycle])}, then the manifest that lists them.
+
+    manifest_kw (master_seed, input_paths) passes on to manifest_for.
+    """
+    for path, table in files.items():
+        write_rows_csv(path, *table)
+    write_manifest(manifest_path, manifest_for(command, config, [Path(path).name for path in files], **manifest_kw))
+
+
 # Both values give different statistical results, so every manifest records the choice.
 _RESAMPLE_OPTION = click.option(
     "--resample", type=click.Choice([r.value for r in Resample]), default=Resample.COMPONENTS.value,
@@ -165,20 +171,10 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
     start = max(c.start_index for c in components)
     stop = min(c.start_index + c.n for c in components)
     columns = [range(start, stop)] + [c.values[start - c.start_index : stop - c.start_index] for c in components]
-    write_rows_csv(output_path, ["t"] + names, columns)
-    manifest = manifest_for(
-        "filter",
-        {
-            "input": str(input_csv),
-            "specs": [asdict(s) for s in specs],
-            "edge": edge,
-            "narrow_factor": narrow_factor,
-            "columns": names,
-        },
-        [Path(output_path).name],
-        input_paths=[input_csv],
-    )
-    write_manifest(Path(str(output_path) + ".manifest.json"), manifest)
+    config = {"input": str(input_csv), "specs": [asdict(s) for s in specs], "edge": edge,
+              "narrow_factor": narrow_factor, "columns": names}
+    _write_outputs("filter", str(output_path) + ".manifest.json", {output_path: (["t"] + names, columns)}, config,
+                   input_paths=[input_csv])
 
 
 @main.command("run")
@@ -191,18 +187,10 @@ def cmd_filter(input_csv, periods_text, spec_texts, narrow_factor, edge, output_
 @click.option("--narrow-factor", default=1.0, show_default=True)
 @_RESAMPLE_OPTION
 @click.option("-o", "--output", "output_dir", required=True, type=click.Path(file_okay=False))
-def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor, resample, output_dir):
+def cmd_run(input_csv, periods_text, seed, output_dir, **options):
     """Bootstrap a series and write per-component and aggregate CI bands."""
-    periods = _parse_periods(periods_text)
-    cfg = PipelineConfig(
-        periods=periods,
-        resamples=resamples,
-        seed=SeedSpec(seed),
-        narrow_factor=narrow_factor,
-        mode=Mode(mode),
-        alpha=alpha,
-        resample=Resample(resample),
-    )
+    # options are named after PipelineConfig's fields, so the manifest records them as given.
+    cfg = PipelineConfig(periods=_parse_periods(periods_text), seed=SeedSpec(seed), **options)
     series = read_series_csv(input_csv)
     # Component bands are built on first read, so they are read under the overflow check too.
     with _finite_arithmetic(input_csv):
@@ -214,25 +202,10 @@ def cmd_run(input_csv, periods_text, mode, resamples, seed, alpha, narrow_factor
     outdir.mkdir(parents=True, exist_ok=True)
     # The t fields as written, formatted once for all three files.
     times = list(map(str, range(series.start_index, series.start_index + series.n)))
-    for name, band, cycle in bands:
-        write_rows_csv(outdir / name, ["t", "lower", "point", "upper"],
-                       [times, band.lower, band.point, band.upper], cycle=cycle)
-    manifest = manifest_for(
-        "run",
-        {
-            "input": str(input_csv),
-            "periods": list(periods),
-            "mode": mode,
-            "resamples": resamples,
-            "alpha": alpha,
-            "narrow_factor": narrow_factor,
-            "resample": resample,
-        },
-        [name for name, *_ in bands],
-        master_seed=seed,
-        input_paths=[input_csv],
-    )
-    write_manifest(outdir / "manifest.json", manifest)
+    files = {outdir / name: (["t", "lower", "point", "upper"], [times, band.lower, band.point, band.upper], cycle)
+             for name, band, cycle in bands}
+    config = {"input": str(input_csv), "periods": list(cfg.periods), **options}
+    _write_outputs("run", outdir / "manifest.json", files, config, master_seed=seed, input_paths=[input_csv])
 
 
 _SCALE_DEFAULTS = {"desk": {"resamples": 200, "reps": 50}, "paper": {"resamples": 1000, "reps": 1000}}
@@ -312,13 +285,6 @@ def _load_grid_config(path, scale: str, seed, paper_faithful) -> dict:
     return values
 
 
-def _write_grid_outputs(outdir: Path, tables: dict) -> list:
-    """Write each of simulation.study_tables' tables into outdir; returns their names in writing order."""
-    for name, (header, rows) in tables.items():
-        write_rows_csv(outdir / name, header, list(zip(*rows)))
-    return list(tables)
-
-
 @main.command("simulate")
 @click.option("--config", "config_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--scale", type=click.Choice(["desk", "paper"]), default="desk", show_default=True,
@@ -339,14 +305,15 @@ def cmd_simulate(config_path, scale, seed, threads, paper_faithful, resample, ou
             "per cell and may take hours; proceeding",
             err=True,
         )
-    cells = run_grid(**dict(grid, seed=SeedSpec(grid["seed"])), threads=threads, resample=Resample(resample))
+    cells = run_grid(**dict(grid, seed=SeedSpec(grid["seed"])), threads=threads, resample=resample)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = {"config": str(config_path), "scale": scale, "resample": resample, "threads": threads}
     config.update((key, value) for key, value in grid.items() if key != "seed")
-    manifest = manifest_for("simulate", config, _write_grid_outputs(outdir, study_tables(cells)),
-                            master_seed=grid["seed"], input_paths=[config_path])
-    write_manifest(outdir / "manifest.json", manifest)
+    # study_tables gives rows; the writer takes columns.
+    files = {outdir / name: (header, list(zip(*rows))) for name, (header, rows) in study_tables(cells).items()}
+    _write_outputs("simulate", outdir / "manifest.json", files, config, master_seed=grid["seed"],
+                   input_paths=[config_path])
 
 
 @main.command("transfer")
@@ -378,13 +345,9 @@ def cmd_transfer(spec_texts, grid_text, output_path):
         np.concatenate([freqs] * len(specs)),
         np.concatenate([energy_transfer(freqs, spec.m, spec.k, spec.nu) for spec in specs]),
     ]
-    write_rows_csv(output_path, ["m", "k", "nu", "lambda", "energy"], columns)
-    manifest = manifest_for(
-        "transfer",
-        {"specs": [asdict(s) for s in specs], "grid": grid_text},
-        [Path(output_path).name],
-    )
-    write_manifest(Path(str(output_path) + ".manifest.json"), manifest)
+    _write_outputs("transfer", str(output_path) + ".manifest.json",
+                   {output_path: (["m", "k", "nu", "lambda", "energy"], columns)},
+                   {"specs": [asdict(s) for s in specs], "grid": grid_text})
 
 
 @main.command("report")
@@ -397,9 +360,8 @@ def cmd_report(reps_csv, output_dir):
     del tables["reps.csv"]
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = _write_grid_outputs(outdir, tables)
-    manifest = manifest_for("report", {"input": str(reps_csv)}, outputs, input_paths=[reps_csv])
-    write_manifest(outdir / "manifest.json", manifest)
+    files = {outdir / name: (header, list(zip(*rows))) for name, (header, rows) in tables.items()}
+    _write_outputs("report", outdir / "manifest.json", files, {"input": str(reps_csv)}, input_paths=[reps_csv])
 
 
 if __name__ == "__main__":

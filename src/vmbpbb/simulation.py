@@ -114,6 +114,9 @@ class ScenarioConfig:
         object.__setattr__(self, "snr", _check_snr(self.snr))
         if self.reps < 1:
             raise ValueError("need at least one repetition")
+        # Repetitions are counted with index-sized integers; more could never all run.
+        if self.reps > sys.maxsize:
+            raise ValueError(f"reps must be at most {sys.maxsize}, got {self.reps}")
         try:
             cfg = self.pipeline(self.seed)
             mode_filters(cfg, self.n, tuple(Mode))

@@ -751,7 +751,8 @@ def grid_with(**changes):
     (["simulate", "--config", "grid.json"], grid_with(narrow_factor="x"), "config"),
     (["simulate", "--config", "grid.json"], grid_with(paper_faithful=1), "config"),
     (["simulate", "--config", "grid.json"], grid_with(reps=0), "config"),
-    # Too many repetitions to list one task each for the pool.
+    # More repetitions than an index-sized integer counts, in one process and in a pool.
+    (["simulate", "--config", "grid.json"], grid_with(reps=10**30), "config"),
     (["simulate", "--config", "grid.json", "--threads", "2"], grid_with(reps=10**30), "config"),
     (["simulate", "--config", "grid.json"], grid_with(seed=DROPPED), "config"),
     (["simulate", "--config", "grid.json"], grid_with(snrs=[[1e-300, 1e300]]), "config"),
@@ -770,6 +771,7 @@ def grid_with(**changes):
         "spec-column-names-collide-on-a-bad-file", "grid-not-object",
         "grid-missing-file", "grid-unknown-key", "grid-without-periods", "grid-without-snrs",
         "grid-narrow-factor-string", "grid-paper-faithful-integer", "grid-no-reps", "grid-reps-above-maxsize",
+        "grid-reps-above-maxsize-threads-2",
         "grid-no-seed",
         "grid-snr-ratio-overflows", "grid-snr-label-overflows", "grid-zero-signal", "grid-snr-repeated",
         "grid-snrs-share-seeds",

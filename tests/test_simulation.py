@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +70,12 @@ class TestScenarioConfig:
     def test_rejects_non_integral_sizes(self, field, value, error):
         with pytest.raises(error, match="must be an integer, got"):
             small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("reps", [sys.maxsize + 1, 10**30])
+    def test_rejects_reps_above_maxsize(self, reps):
+        with pytest.raises(ValueError, match=f"reps must be at most {sys.maxsize}, got {reps}"):
+            small_cfg(reps=reps)
+        assert small_cfg(reps=sys.maxsize).reps == sys.maxsize
 
     def test_stores_integral_sizes_as_int(self):
         cfg = small_cfg(p1=10.0, p2=np.int64(25), n=np.float64(200.0), reps=4.0)

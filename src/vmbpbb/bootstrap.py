@@ -7,16 +7,17 @@ t mod p; slot draws are mutually independent. Repeating B times and taking the
 periodic mean of every resample yields the bootstrap distribution of the
 per-phase means.
 
-The resamples of one period are drawn in blocks of about 2**14 slots. The k
+The resamples of one period are drawn in blocks of about 2**15 slots. The k
 series resampled together (a period's PBB and VMBPBB components) sit as the
-columns of one C-contiguous (n, k) table, so one take along its first axis
-gathers a block's every mode into a C-contiguous (m, n, k) buffer
-(_resample_blocks). Read flat, each of its m rows is one series of length n*k
-in which slot t of series i sits at t*k + i; at period p*k that slot's phase
-is (t mod p)*k + i. So series._phase_means sums the whole block at once, at
-period p*k with every phase count repeated k times, into a (B, p, k) array,
-the modes still last, and each phase adds its members in index order: the
-means equal np.bincount's on each series bit for bit (bootstrap_phase_means).
+columns of one phase-major table, so one take along its first axis gathers a
+block's every mode into a C-contiguous (m, n, k) buffer (_resample_blocks).
+Read flat, each of its m rows is one series of length n*k in which slot t of
+series i sits at t*k + i; at period p*k that slot's phase is (t mod p)*k + i.
+So series._phase_sums sums the whole block at once, at period p*k, into a
+(B, p, k) array, the modes still last, and each phase adds its members in
+index order. Once every block is summed, series._sums_to_means divides the
+whole array by the phase counts, each repeated k times: the means equal
+np.bincount's on each series bit for bit (bootstrap_phase_means).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InsufficientResamplesError
-from .series import TimeSeries, _frozen_array, _phase_layout, _phase_means, as_integer
+from .series import TimeSeries, _frozen_array, _phase_layout, _phase_sums, _sums_to_means, as_integer
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,14 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+def _constants(first: int, mult: int, count: int) -> np.ndarray:
+    """count successive hash constants from first, each the one before times mult, as uint32."""
+    consts = [first]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
 def child_states(seed: SeedSpec, children: np.ndarray) -> np.ndarray:
     """The PCG64 seeds of the sub-streams seed.child(b) for b in children, one row each.
 
@@ -127,17 +136,20 @@ def child_states(seed: SeedSpec, children: np.ndarray) -> np.ndarray:
             if src != dst:
                 hashed, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[_POOL_SIZE:] + [children]:
+    for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             hashed, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], hashed)
-    const = _INIT_B
-    state = np.empty((children.size, 2 * _POOL_SIZE), dtype="<u4")
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        state[:, i] = value ^ value >> 16
+    # b's word mixes into pool word dst under the dst-th of the next four hash
+    # constants, and state word i is pool word i mod 4 xored with output
+    # constant i and multiplied by constant i + 1, so each stage is one (B, 4)
+    # or (B, 8) array step.
+    hashed, _ = _hashmix(children[:, None], _constants(const, _MULT_A, _POOL_SIZE))
+    pool = _mix(np.array(pool, dtype=np.uint32), hashed)
+    consts = _constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+    value = np.tile(pool, 2) ^ consts[:-1]
+    value *= consts[1:]
+    state = (value ^ value >> 16).astype("<u4", copy=False)
     # Word pairs join low half first, as generate_state's little-endian view does.
     return state.view("<u8").astype(np.uint64, copy=False)
 
@@ -191,8 +203,9 @@ class CIBand:
 
 
 # A block holds about this many slots (resamples times n), so that its words,
-# indices and gathered values stay in a core's cache.
-_BLOCK_SLOTS = 2**14
+# indices and gathered values stay in a core's cache; at n = 8760 it holds
+# three resamples.
+_BLOCK_SLOTS = 2**15
 
 
 def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec):
@@ -217,20 +230,30 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
     series length, for both p = period and p = lcm(periods).
 
     Yields (b, block) for b = 0, rows, 2 * rows, ..., with rows about
-    _BLOCK_SLOTS // n: block is the C-contiguous (m, n, k) buffer, m <= rows,
-    whose [j, :, i] is row i of values gathered at the indices of resample
-    b + j. The next block overwrites it, and a shorter last block is the first
-    m rows of the same buffers. The rows of values are the columns of one
-    (n, k) table, so a single take along its first axis gathers every row of
-    a slot together. A block copies its resamples' raw PCG64 words row by row
-    into one buffer (a one-resample block, as at n = 8760, reads them where
-    PCG64 wrote them) and takes the Lemire step over all of them at once; a
-    resample that holds a rejected word (about 1e-4 of them at the hourly
-    bounds) is redrawn by numpy itself.
+    _BLOCK_SLOTS // n (32 at n = 1000, 3 at n = 8760): block is the
+    C-contiguous (m, n, k) buffer, m <= rows, whose [j, :, i] is row i of
+    values gathered at the indices of resample b + j. The next block
+    overwrites it, and a shorter last block is the first m rows of the same
+    buffers.
+
+    The k rows of values sit as the columns of one phase-major table of
+    p * c rows, c = ceil(n / p) the largest member count: row s * c + j holds
+    slot s + p * j, so phase s's members are c consecutive rows from s * c,
+    and a slot's gather index is its phase's first row plus its offset. The
+    rows past a phase's member count hold NaN and are never drawn; a wrong
+    index would show as a non-finite band, not a silent value. A single take
+    along the table's first axis gathers every row of values together. A
+    block copies its resamples' raw PCG64 words row by row into one buffer
+    and takes the Lemire step over all of them at once; a resample that
+    holds a rejected word (about 1e-4 of them at the hourly bounds) is
+    redrawn by numpy itself.
     """
     k, n = values.shape
-    table = np.ascontiguousarray(values.T)
     phases, counts = _phase_layout(n, p)
+    members = int(counts[0])
+    base = (phases * members).astype(np.uint64)
+    table = np.full((p * members, k), np.nan)
+    table[base + np.arange(n, dtype=np.uint64) // p] = values.T
     states = child_states(seed, np.arange(resamples, dtype=np.uint32))
     rows = min(resamples, max(1, _BLOCK_SLOTS // n))
     bounds = counts[phases]
@@ -238,7 +261,6 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
     threshold = (np.uint64(2**32) % bound).astype(np.uint32)
     # Any rejected word leaves a low product below the largest threshold.
     screen = threshold.max()
-    base = phases.astype(np.uint64)
     half = (n + 1) // 2
     raw = np.empty((rows, half), dtype="<u8")
     index = np.empty((rows, n), dtype="<u8")
@@ -248,23 +270,18 @@ def _resample_blocks(values: np.ndarray, p: int, resamples: int, seed: SeedSpec)
         m = batch.shape[0]
         if m < rows:
             raw, index, block = raw[:m], index[:m], block[:m]
-        if m == 1:
-            # A one-row block reads its words where PCG64 wrote them and leaves raw untouched.
-            words = np.random.PCG64(_ChildSeed(batch[0])).random_raw(half).astype("<u8", copy=False)[None]
-        else:
-            for j, state in enumerate(batch):
-                raw[j] = np.random.PCG64(_ChildSeed(state)).random_raw(half)
-            words = raw
-        np.multiply(words.view("<u4")[:, :n], bound, out=index)
+        for j, state in enumerate(batch):
+            raw[j] = np.random.PCG64(_ChildSeed(state)).random_raw(half)
+        np.multiply(raw.view("<u4")[:, :n], bound, out=index)
         # The product's low 32 bits, the first half of each little-endian word.
         low = index.view("<u4")[:, ::2]
         rejected = np.flatnonzero((low < threshold).any(axis=1)) if low.min() < screen else ()
         index >>= 32
-        index *= p
         index += base
         for i in rejected:
             generator = np.random.Generator(np.random.PCG64(_ChildSeed(batch[i])))
-            index[i] = phases + p * generator.integers(0, bounds, size=n)
+            index[i] = generator.integers(0, bounds, size=n)
+            index[i] += base
         # The indices lie in range by construction; under the default "raise"
         # mode numpy would gather into a temporary and copy it to out.
         table.take(index.view("<i8"), axis=0, out=block, mode="clip")
@@ -278,19 +295,19 @@ def bootstrap_phase_means(stack, p: int, resamples: int, seed: SeedSpec) -> np.n
     to every row (_resample_blocks), so series resampled together take the
     same draws. Returns the read-only, C-contiguous (resamples, p, k) array
     it fills, whose entry [b, :, i] holds the p phase means of row i
-    resampled by draw b: one _phase_means call sums each (m, n, k) block as
-    m series of length n*k at period p*k, every phase count repeated k times
-    (see the module docstring), so the means are those of np.bincount on
-    each row bit for bit. n, p and resamples meet the preconditions of
-    _resample_blocks.
+    resampled by draw b: one _phase_sums call sums each (m, n, k) block as
+    m series of length n*k at period p*k (see the module docstring), and one
+    _sums_to_means call divides the whole array by the phase counts, each
+    repeated k times, so the means are those of np.bincount on each row bit
+    for bit. n, p and resamples meet the preconditions of _resample_blocks.
     """
     values = np.asarray(stack, dtype=float)
     k, n = values.shape
-    counts = np.repeat(_phase_layout(n, p)[1], k)
     estimates = np.empty((resamples, p, k))
-    means = estimates.reshape(resamples, p * k)
+    sums = estimates.reshape(resamples, p * k)
     for b, block in _resample_blocks(values, p, resamples, seed):
-        _phase_means(block.reshape(-1, n * k), counts, means[b:b + len(block)])
+        _phase_sums(block.reshape(-1, n * k), sums[b:b + len(block)])
+    _sums_to_means(sums, np.repeat(_phase_layout(n, p)[1], k))
     estimates.setflags(write=False)
     return estimates
 

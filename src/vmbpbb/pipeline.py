@@ -25,7 +25,7 @@ from .bootstrap import bootstrap_periodic_means  # noqa: F401
 from .errors import InsufficientResamplesError, InvalidPeriodError
 from .filters import (FilterSpec, _kzft_values, check_window_fits, kzft_apply, reconstruct_component,
                       select_filter_specs)
-from .series import TimeSeries, _phase_layout, _phase_means, as_integer, validate_periods
+from .series import TimeSeries, _phase_layout, _phase_sums, _sums_to_means, as_integer, validate_periods
 
 # Stream label of the whole-series draws under the pipeline seed. Periods are
 # >= 2, so no component sub-stream seed.child(p) can take it.
@@ -198,7 +198,6 @@ def _series_estimates(series: TimeSeries, specs: list, cfg: PipelineConfig) -> d
     once and filtered by every mode, row by row, with the arithmetic of
     reconstruct_component(kzft_apply(draw, spec)).
     """
-    counts = {p: _phase_layout(series.n, p)[1] for p in cfg.periods}
     estimates = {p: np.empty((cfg.resamples, p, len(specs))) for p in cfg.periods}
     for b, block in _resample_blocks(series.values[None], math.lcm(*cfg.periods), cfg.resamples,
                                      cfg.seed.child(_SERIES_STREAM)):
@@ -206,8 +205,9 @@ def _series_estimates(series: TimeSeries, specs: list, cfg: PipelineConfig) -> d
         for i, mode_specs in enumerate(specs):
             for p, spec in zip(cfg.periods, mode_specs):
                 comps = draws if spec is None else np.array([2.0 * _kzft_values(row, spec).real for row in draws])
-                _phase_means(comps, counts[p], estimates[p][b:b + len(draws), :, i])
-    for est in estimates.values():
+                _phase_sums(comps, estimates[p][b:b + len(draws), :, i])
+    for p, est in estimates.items():
+        _sums_to_means(est.transpose(0, 2, 1), _phase_layout(series.n, p)[1])
         est.setflags(write=False)
     return estimates
 

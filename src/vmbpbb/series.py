@@ -91,27 +91,34 @@ def _phase_layout(n: int, p: int):
     return phases, np.bincount(phases, minlength=p)
 
 
-def _phase_means(values: np.ndarray, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write into out (..., p) the phase means of every length-n row of values (..., n).
+def _phase_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out (..., p) the phase sums of every length-n row of values (..., n).
 
-    p is counts.size and counts[s] the member count of phase s (_phase_layout);
-    values is only read. The caller holds 2 <= p and 2p <= n: every period is
-    checked by validate_periods where a PipelineConfig is built, and against
-    n by pipeline.mode_filters before a run draws. The means equal
-    np.bincount(phases, weights=row) / counts bit for bit: numpy sums a
-    (cycles, p) reshape over its non-last cycle axis one cycle at a time, so
-    each phase adds its members in index order, as bincount does, and the
-    first n % p phases then add their last member. bincount starts each sum
-    from +0.0, which differs only where every member is -0.0; adding 0.0 gives
-    that case +0.0.
+    p is out.shape[-1]; values is only read. The caller holds 2 <= p and
+    2p <= n: every period is checked by validate_periods where a
+    PipelineConfig is built, and against n by pipeline.mode_filters before a
+    run draws. numpy sums a (cycles, p) reshape over its non-last cycle axis
+    one cycle at a time, so each phase adds its members in index order, as
+    np.bincount does, and the first n % p phases then add their last member.
+    _sums_to_means turns the sums into means.
     """
-    p = counts.size
+    p = out.shape[-1]
     cycles, rest = divmod(values.shape[-1], p)
     whole = cycles * p
     values[..., :whole].reshape(values.shape[:-1] + (cycles, p)).sum(axis=-2, out=out)
     if rest:
         out[..., :rest] += values[..., whole:]
-    out += 0.0
-    out /= counts
     return out
 
+
+def _sums_to_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Turn the phase sums (..., p) of _phase_sums into phase means in place.
+
+    counts[s] is the member count of phase s (_phase_layout). The means equal
+    np.bincount(phases, weights=row) / counts bit for bit. bincount starts
+    each sum from +0.0, which differs only where every member is -0.0;
+    adding 0.0 gives that case +0.0.
+    """
+    sums += 0.0
+    sums /= counts
+    return sums

@@ -394,6 +394,8 @@ class TestBlockDraw:
     @example(k=2, n=61, period=30, resamples="ragged", data_seed=3, negative_zero=False)
     @example(k=2, n=50, period=25, resamples="below", data_seed=5, negative_zero=True)
     @example(k=3, n=2000, period=7, resamples="ragged", data_seed=6, negative_zero=True)
+    # Three rows a block and a one-row tail, the table padded (8760 = 52 * 168 + 24).
+    @example(k=1, n=8760, period=168, resamples="ragged", data_seed=7, negative_zero=False)
     def test_equals_one_resample_at_a_time(self, k, n, period, resamples, data_seed, negative_zero):
         p = period if isinstance(period, int) else period.draw(st.integers(2, n // 2), label="p")
         rows = block_rows(n)
@@ -618,7 +620,7 @@ class TestCiBand:
         depends on the algorithm: a sort and numpy's partition place them
         differently, and the linear rule returns -0.0 only where g >= 0.5 and
         both neighbours are -0.0. So the bounds are compared as values, not
-        bits. Pipelines never pass -0.0: series._phase_means adds +0.0.
+        bits. Pipelines never pass -0.0: series._sums_to_means adds +0.0.
         """
         samples = np.random.default_rng(data_seed).choice([-0.0, 0.0, 1.0], size=(resamples, 4))
         got, want = ci_band(samples, alpha), quantile_band(samples, alpha)

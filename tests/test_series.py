@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 
 from vmbpbb import ComplexSeries, PipelineConfig, SeedSpec, TimeSeries, run_pipeline
 from vmbpbb.errors import InvalidPeriodError
-from vmbpbb.series import _phase_layout, _phase_means
+from vmbpbb.series import _phase_layout, _phase_sums, _sums_to_means
 
 from oracles import bincount_means
 
 
 def phase_means(values, p):
-    """The phase-mean kernel on one series; like every caller, it holds 2 <= p and 2p <= n."""
+    """The phase-sum kernel plus its division on one series; like every caller, it holds 2 <= p and 2p <= n."""
     values = np.asarray(values, dtype=float)
-    return _phase_means(values, _phase_layout(values.size, p)[1], np.empty(p))
+    return _sums_to_means(_phase_sums(values, np.empty(p)), _phase_layout(values.size, p)[1])
 
 
 class TestTimeSeries:
@@ -46,7 +46,7 @@ class TestTimeSeries:
 
 
 class TestPeriodicMean:
-    """The periodic mean as series._phase_means computes it."""
+    """The periodic mean as series._phase_sums and series._sums_to_means compute it."""
 
     def test_constant_series(self):
         pm = phase_means([3.5] * 4, 2)
@@ -159,7 +159,8 @@ class TestInterleavedPhaseMeans:
             values[zero] = -0.0
         interleaved = np.ascontiguousarray(values.transpose(0, 2, 1)).reshape(rows, n * k)
         counts = _phase_layout(n, p)[1]
-        got = _phase_means(interleaved, np.repeat(counts, k), np.empty((rows, p * k))).reshape(rows, p, k)
+        sums = _phase_sums(interleaved, np.empty((rows, p * k)))
+        got = _sums_to_means(sums, np.repeat(counts, k)).reshape(rows, p, k)
         for j in range(rows):
             for i in range(k):
                 own = phase_means(values[j, i], p)
